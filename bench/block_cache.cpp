@@ -20,9 +20,10 @@
 /// Writes BENCH_cache.local.json by default (gitignored; pass a path when
 /// refreshing the committed baseline via tools/bench_merge.py).  --smoke
 /// shrinks the array and the sweep for CI.  The cache[] JSON section is
-/// diffed by tools/bench_compare.py (warn-only, like backends[]).  The
-/// determinism contract means none of these knobs change a single output
-/// bit; the test suite pins that, this harness only measures time.
+/// diffed by tools/bench_compare.py like any other section; the >= 5x
+/// cached-over-full check warns from here.  The determinism contract means
+/// none of these knobs change a single output bit; the test suite pins that,
+/// this harness only measures time.
 
 #include <algorithm>
 #include <cstdint>

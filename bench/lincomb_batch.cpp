@@ -23,15 +23,15 @@
 /// Every run first verifies the batch outputs bit-identical (indices and
 /// biggest both) to per-expression sequential evaluation and exits nonzero
 /// on any mismatch, so wiring this into CI gates correctness even though the
-/// timing diff stays warn-only.
+/// >= 1.5x ratio check below only warns.
 ///
 /// Usage: bench_lincomb_batch [OUTPUT.json] [--smoke]
 ///
 /// Writes BENCH_lincomb_batch.local.json by default (gitignored; pass a path
 /// when refreshing the committed baseline via tools/bench_merge.py).  --smoke
 /// shrinks the arrays for CI.  The batch[] JSON section is diffed by
-/// tools/bench_compare.py (warn-only, like backends[] and cache[]).  Timing
-/// is single-thread (CC_THREADS pinned to 1 here) to keep the ratio a pure
+/// tools/bench_compare.py like any other section.  Timing is single-thread
+/// (CC_THREADS pinned to 1 here) to keep the ratio a pure
 /// decode-amortization measurement.
 
 #include <algorithm>

@@ -17,9 +17,8 @@ namespace pyblaz::ops {
 
 namespace {
 
-/// One increment per lincomb call = one terminal rebin pass over the result.
-/// Lives in the telemetry registry (visible in CC_STATS snapshots as
-/// ops.lincomb.rebin_passes); ops::lincomb_rebin_passes() reads it.
+/// One increment per lincomb call = one terminal rebin pass over the result,
+/// visible in CC_STATS snapshots as ops.lincomb.rebin_passes.
 telemetry::Counter& rebin_passes_counter() {
   static telemetry::Counter& counter =
       telemetry::counter("ops.lincomb.rebin_passes");
@@ -45,12 +44,6 @@ telemetry::Counter& arity_counter(std::size_t num_operands) {
 
 }  // namespace
 
-long lincomb_rebin_passes() {
-  // Bit-compatible with the pre-telemetry atomic<long> accessor: monotonic,
-  // relaxed, one tick per lincomb call.
-  return static_cast<long>(rebin_passes_counter().value());
-}
-
 /// The fused expression kernel behind the whole compressed-arithmetic family:
 /// gather every operand's specified coefficients per block, accumulate the
 /// weighted sum into one reusable per-thread coefficient row, and rebin once
@@ -65,8 +58,10 @@ CompressedArray lincomb(std::span<const CompressedArray* const> operands,
     throw std::invalid_argument(
         "lincomb: weights.size() must equal operands.size()");
   const CompressedArray& first = *operands[0];
-  for (std::size_t i = 1; i < operands.size(); ++i)
-    first.require_layout_match(*operands[i]);
+  for (const CompressedArray* operand : operands) {
+    first.require_layout_match(*operand);
+    internal::require_flushed(*operand, "lincomb");
+  }
   if (bias != 0.0) internal::require_dc(first, "lincomb bias");
 
   static telemetry::Counter& calls = telemetry::counter("ops.lincomb.calls");
@@ -84,8 +79,7 @@ CompressedArray lincomb(std::span<const CompressedArray* const> operands,
   const double r = static_cast<double>(first.radius());
   const double bias_shift = bias * internal::dc_scale(first.block_shape);
 
-  CompressedArray out = first;
-  out.indices = BinIndices(first.index_type, first.indices.size());
+  CompressedArray out = internal::make_output(first);
 
   // Dispatch resolved once per lincomb call, outside the block loop: every
   // chunk then calls through plain function pointers (SIMD backends are

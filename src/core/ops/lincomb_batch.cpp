@@ -48,10 +48,7 @@ BatchPlan plan_batch(std::span<const LincombRequest> requests) {
     for (std::size_t i = 0; i < req.operands.size(); ++i) {
       const CompressedArray* operand = req.operands[i];
       first.require_layout_match(*operand);
-      if (operand->dirty_cached_blocks() > 0)
-        throw std::logic_error(
-            "lincomb_batch: operand has unflushed dirty cached blocks; call "
-            "flush_cache() so the archive fields reflect the writes");
+      internal::require_flushed(*operand, "lincomb_batch");
       auto [it, inserted] =
           row_of.try_emplace(operand, static_cast<index_t>(plan.distinct.size()));
       if (inserted) plan.distinct.push_back(operand);
@@ -63,22 +60,6 @@ BatchPlan plan_batch(std::span<const LincombRequest> requests) {
                                internal::dc_scale(first.block_shape));
   }
   return plan;
-}
-
-/// A result array with the layout of @p first and a fresh (zero) bin buffer.
-/// Deliberately NOT `CompressedArray out = first`: that would copy the whole
-/// bin payload only to immediately replace it — per output, per call.
-CompressedArray make_output(const CompressedArray& first) {
-  CompressedArray out;
-  out.shape = first.shape;
-  out.block_shape = first.block_shape;
-  out.float_type = first.float_type;
-  out.index_type = first.index_type;
-  out.transform = first.transform;
-  out.mask = first.mask;
-  out.biggest.resize(first.biggest.size());
-  out.indices = BinIndices(first.index_type, first.indices.size());
-  return out;
 }
 
 }  // namespace
@@ -139,7 +120,7 @@ std::vector<CompressedArray> lincomb_batch(
   std::vector<CompressedArray> results;
   results.reserve(num_requests);
   for (std::size_t k = 0; k < num_requests; ++k)
-    results.push_back(make_output(first));
+    results.push_back(internal::make_output(first));
 
   // Dispatch resolved once, outside the block loop, like lincomb.
   const kernels::KernelTable& table = kernels::active();

@@ -170,7 +170,10 @@ double variance_unpadded(const CompressedArray& a);
 /// bound.  @p bias shifts the DC coefficient like add_scalar (requires the
 /// DC coefficient to be kept when nonzero).  All operands must share the
 /// layout of operands[0]; weights.size() must equal operands.size() and be
-/// at least 1.  add/subtract/add_scalar/linear_combination are thin wrappers
+/// at least 1.  Operands with unflushed dirty cached blocks are rejected
+/// (std::logic_error), like lincomb_batch.  Each call performs exactly one
+/// terminal rebin pass, counted by the ops.lincomb.rebin_passes telemetry
+/// counter.  add/subtract/add_scalar/linear_combination are thin wrappers
 /// over this kernel and quantize bit-identically to it.
 CompressedArray lincomb(std::span<const CompressedArray* const> operands,
                         std::span<const double> weights, double bias = 0.0);
@@ -209,19 +212,10 @@ struct LincombRequest {
 /// dirty cached blocks are rejected (std::logic_error): the raw archive
 /// fields this pass reads don't reflect those writes yet — flush_cache()
 /// first.  Rebin accounting: a K-request batch performs exactly K terminal
-/// rebin passes (lincomb_rebin_passes() advances by K, fused or fallback).
+/// rebin passes (the ops.lincomb.rebin_passes counter advances by K, fused
+/// or fallback).
 std::vector<CompressedArray> lincomb_batch(
     std::span<const LincombRequest> requests);
-
-/// Process-wide count of terminal rebin passes performed by ops::lincomb —
-/// exactly one per call, which is the fused pipeline's defining property.
-/// Everything that routes through lincomb (add, subtract, add_scalar,
-/// linear_combination, and every expression-template evaluation from
-/// core/ops/expr.hpp) bumps it once; the exact rebin-free operations
-/// (negate, multiply_scalar) never do.  Monotonic and thread-safe; intended
-/// for rebin-count accounting in tests and diagnostics — take a delta around
-/// the region of interest.
-long lincomb_rebin_passes();
 
 /// α A + β B in one fused pass (generalizes Algorithm 2; rebinning is the
 /// only error source).  Layouts must match.  Equivalent to the 2-operand

@@ -3,17 +3,18 @@
 /// — the load-bearing property — that EVERY compiled-in backend reproduces
 /// the scalar kernels bit for bit across the full property matrix: rebin
 /// (max_abs / quantize_bins / unbin) for all four bin types, decode_lincomb
-/// at 1..7 operands, the dense one-axis transform, and the factorized Lee
-/// DCT at every supported size.  The scalar kernels are the oracle; the
-/// parameterized suite runs once per available backend, so on an AVX2 host
-/// the AVX2 table is exhaustively pinned and on any host the scalar table
-/// trivially passes (keeping the suite green under the CC_KERNEL_BACKEND
-/// ctest legs regardless of ISA).
+/// at 1..7 operands, decode_lincomb_multi at 1/2/4 outputs, the dense
+/// one-axis transform, and the factorized Lee DCT at every supported size.
+/// The scalar kernels are the oracle; the parameterized suite runs once per
+/// available backend, so on an AVX2 host the AVX2 table is exhaustively
+/// pinned and on any host the scalar table trivially passes (keeping the
+/// suite green under the CC_KERNEL_BACKEND ctest legs regardless of ISA).
 
 #include "core/kernels/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -354,6 +355,86 @@ TEST_P(BackendBitIdentity, DecodeLincombInt32) {
 }
 TEST_P(BackendBitIdentity, DecodeLincombInt64) {
   check_decode_lincomb<std::int64_t>(table());
+}
+
+/// decode_lincomb_multi against scalar decode_lincomb run on each output's
+/// own term list.  "shared" output k reads rows {0, 1, 2, 3 + k} (odd k
+/// repeat row 0, so even and odd arities both occur); "disjoint" output k
+/// reads k + 1 rows no other output touches.
+template <typename BinT>
+void check_decode_lincomb_multi(const KernelTable& t) {
+  std::mt19937_64 rng(5151);
+  std::uniform_real_distribution<double> weight(-2.0, 2.0);
+  const std::int64_t bound = std::min<std::int64_t>(
+      std::numeric_limits<BinT>::max(), std::numeric_limits<std::int32_t>::max());
+  for (index_t count : kCounts) {
+    for (index_t outputs : {1, 2, 4}) {
+      for (bool shared : {true, false}) {
+        std::vector<index_t> term_rows;
+        std::vector<index_t> offsets = {0};
+        index_t num_rows = shared ? 3 + outputs : 0;
+        for (index_t k = 0; k < outputs; ++k) {
+          if (shared) {
+            term_rows.insert(term_rows.end(), {0, 1, 2, 3 + k});
+            if (k % 2 == 1) term_rows.push_back(0);
+          } else {
+            for (index_t i = 0; i <= k; ++i) term_rows.push_back(num_rows++);
+          }
+          offsets.push_back(static_cast<index_t>(term_rows.size()));
+        }
+        std::vector<std::vector<BinT>> rows(static_cast<std::size_t>(num_rows));
+        std::vector<const BinT*> row_ptrs;
+        for (auto& row : rows) {
+          row.resize(static_cast<std::size_t>(count));
+          for (auto& b : row)
+            b = static_cast<BinT>(static_cast<std::int64_t>(rng()) %
+                                  (bound + 1));
+          row_ptrs.push_back(row.data());
+        }
+        std::vector<double> scales(term_rows.size());
+        for (double& scale : scales) scale = weight(rng);
+        std::vector<double> decoded(static_cast<std::size_t>(num_rows * count));
+        std::vector<std::vector<double>> outs(
+            static_cast<std::size_t>(outputs),
+            std::vector<double>(static_cast<std::size_t>(count)));
+        std::vector<double*> out_ptrs;
+        for (auto& out : outs) out_ptrs.push_back(out.data());
+        kernels::bins<BinT>(t).decode_lincomb_multi(
+            row_ptrs.data(), num_rows, scales.data(), term_rows.data(),
+            offsets.data(), outputs, count, decoded.data(), out_ptrs.data());
+
+        for (index_t k = 0; k < outputs; ++k) {
+          std::vector<const BinT*> own_rows;
+          std::vector<double> own_scales;
+          for (index_t term = offsets[k]; term < offsets[k + 1]; ++term) {
+            own_rows.push_back(row_ptrs[term_rows[term]]);
+            own_scales.push_back(scales[term]);
+          }
+          std::vector<double> ref(static_cast<std::size_t>(count));
+          kernels::decode_lincomb(own_rows.data(), own_scales.data(),
+                                  static_cast<index_t>(own_rows.size()), count,
+                                  ref.data());
+          for (index_t j = 0; j < count; ++j)
+            ASSERT_TRUE(BitEqual(outs[k][j], ref[j]))
+                << (shared ? "shared" : "disjoint") << " outputs " << outputs
+                << " output " << k << " count " << count << " j " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BackendBitIdentity, DecodeLincombMultiInt8) {
+  check_decode_lincomb_multi<std::int8_t>(table());
+}
+TEST_P(BackendBitIdentity, DecodeLincombMultiInt16) {
+  check_decode_lincomb_multi<std::int16_t>(table());
+}
+TEST_P(BackendBitIdentity, DecodeLincombMultiInt32) {
+  check_decode_lincomb_multi<std::int32_t>(table());
+}
+TEST_P(BackendBitIdentity, DecodeLincombMultiInt64) {
+  check_decode_lincomb_multi<std::int64_t>(table());
 }
 
 TEST_P(BackendBitIdentity, DenseTransformAxis) {

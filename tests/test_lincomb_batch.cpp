@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <new>
 #include <stdexcept>
 #include <vector>
@@ -39,6 +40,19 @@ CompressorSettings settings_for(Shape block,
           .float_type = ftype,
           .index_type = itype,
           .transform = kind};
+}
+
+/// Terminal rebin passes so far: ops::lincomb bumps the
+/// ops.lincomb.rebin_passes counter once per call.
+std::uint64_t rebin_passes() {
+  return telemetry::counter("ops.lincomb.rebin_passes").value();
+}
+
+/// Samples recorded so far in histogram @p name (0 before its first use).
+std::uint64_t histogram_count(const std::string& name) {
+  for (const telemetry::HistogramSnapshot& h : telemetry::snapshot().histograms)
+    if (h.name == name) return h.count;
+  return 0;
 }
 
 void expect_bit_identical(const CompressedArray& a, const CompressedArray& b,
@@ -261,8 +275,11 @@ TEST(LincombBatch, OperandDedupCounters) {
   const std::uint64_t exprs0 = expressions.value();
   const std::uint64_t distinct0 = distinct.value();
   const std::uint64_t avoided0 = avoided.value();
+  const std::uint64_t wall0 = histogram_count("ops.lincomb_batch.wall_ns");
   (void)ops::lincomb_batch(batch.requests);
   EXPECT_EQ(calls.value() - calls0, 1u);
+  EXPECT_EQ(histogram_count("ops.lincomb_batch.wall_ns") - wall0, 1u)
+      << "one wall-time sample per batch call";
   EXPECT_EQ(expressions.value() - exprs0, 4u);
   // 16 terms over 7 distinct operands: 9 bin-row decodes saved per block.
   EXPECT_EQ(distinct.value() - distinct0, 7u);
@@ -321,9 +338,9 @@ TEST(LincombBatch, SequentialFallbackWhenNothingShared) {
 TEST(LincombBatch, RebinAccountingKPerBatch) {
   // Fused or fallback, a K-request batch performs exactly K terminal rebins.
   AcceptanceBatch shared(settings_for(Shape{8, 8}), Shape{24, 24}, 29);
-  long before = ops::lincomb_rebin_passes();
+  std::uint64_t before = rebin_passes();
   (void)ops::lincomb_batch(shared.requests);
-  EXPECT_EQ(ops::lincomb_rebin_passes() - before, 4)
+  EXPECT_EQ(rebin_passes() - before, 4u)
       << "fused batch: one terminal rebin per output";
 
   const std::vector<const CompressedArray*> solo = {&shared.arrays[0]};
@@ -331,9 +348,9 @@ TEST(LincombBatch, RebinAccountingKPerBatch) {
   const std::vector<ops::LincombRequest> single = {
       {std::span<const CompressedArray* const>(solo),
        std::span<const double>(w), 0.0}};
-  before = ops::lincomb_rebin_passes();
+  before = rebin_passes();
   (void)ops::lincomb_batch(single);
-  EXPECT_EQ(ops::lincomb_rebin_passes() - before, 1)
+  EXPECT_EQ(rebin_passes() - before, 1u)
       << "single-request fallback: one rebin";
 }
 
@@ -400,6 +417,31 @@ TEST(LincombBatch, DirtyCachedOperandIsRejectedUntilFlush) {
   expect_batch_matches(requests, "after flush");
 }
 
+TEST(LincombBatch, LincombRejectsDirtyOperandInAnyPosition) {
+  // ops::lincomb reads the same raw archive fields as the batch pass, so a
+  // dirty operand must be rejected wherever it sits in the term list — not
+  // only as operands[0] — and the binary wrappers inherit the guard.
+  CacheGuard guard;
+  cache::set_default_capacity(8);
+  Compressor compressor(settings_for(Shape{8, 8}));
+  Rng rng(39);
+  const CompressedArray a =
+      compressor.compress(random_smooth(Shape{24, 24}, rng));
+  CompressedArray b = compressor.compress(random_smooth(Shape{24, 24}, rng));
+  const CompressedArray stale = ops::add(a, b);
+  b.set({0, 0}, 3.25);  // Dirty, pinned, not yet in the archive fields.
+  ASSERT_GT(b.dirty_cached_blocks(), 0);
+
+  EXPECT_THROW((void)ops::lincomb({{1.0, &a}, {1.0, &b}}), std::logic_error);
+  EXPECT_THROW((void)ops::lincomb({{1.0, &b}, {1.0, &a}}), std::logic_error);
+  EXPECT_THROW((void)ops::add(a, b), std::logic_error);
+
+  b.flush_cache();
+  const CompressedArray fresh = ops::add(a, b);
+  EXPECT_TRUE(fresh.biggest != stale.biggest || fresh.indices != stale.indices)
+      << "after flush the sum must see the write";
+}
+
 TEST(LincombBatch, CacheFillAllocFaultMidBatchLeavesOutputsUnchanged) {
   // Arm the cache.fill.alloc site with a cache attached to the operands: the
   // batch pass reads coefficient rows directly, never fills the cache, so it
@@ -456,9 +498,9 @@ TEST(LincombBatch, BatchEvalMatchesPerExpressionEval) {
   batch.add(g);  // Bare array: unit-weight single term.
   EXPECT_EQ(batch.size(), 3u);
 
-  const long before = ops::lincomb_rebin_passes();
+  const std::uint64_t before = rebin_passes();
   const std::vector<CompressedArray> results = batch.eval();
-  EXPECT_EQ(ops::lincomb_rebin_passes() - before, 3);
+  EXPECT_EQ(rebin_passes() - before, 3u);
   ASSERT_EQ(results.size(), 3u);
   expect_bit_identical(results[0], (h - dt * (fx + fy)).eval(), "batch expr 0");
   expect_bit_identical(results[1], (0.5 * h + 0.5 * g + 0.25).eval(),

@@ -1,7 +1,7 @@
 /// The lazy expression-template front end (core/ops/expr.hpp): natural
 /// arithmetic over CompressedArray flattens — at compile time — into exactly
 /// one ops::lincomb call.  Pins the acceptance properties: an expression like
-/// h - dt*a + dt*b + c performs exactly ONE rebin (lincomb_rebin_passes
+/// h - dt*a + dt*b + c performs exactly ONE rebin (ops.lincomb.rebin_passes
 /// accounting) and evaluates bit-identically to the direct flattened
 /// ops::lincomb call, across shapes, dtypes, transforms, and thread counts;
 /// compound assignments ride the same path; implicit conversion drops
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
 #include "core/parallel/thread_pool.hpp"
+#include "core/telemetry/telemetry.hpp"
 #include "core/util/rng.hpp"
 
 namespace pyblaz {
@@ -30,6 +32,12 @@ CompressorSettings settings_for(Shape block,
           .float_type = ftype,
           .index_type = itype,
           .transform = kind};
+}
+
+/// Terminal rebin passes so far: ops::lincomb bumps the
+/// ops.lincomb.rebin_passes counter once per call.
+std::uint64_t rebin_passes() {
+  return telemetry::counter("ops.lincomb.rebin_passes").value();
 }
 
 void expect_bit_identical(const CompressedArray& a, const CompressedArray& b,
@@ -54,9 +62,9 @@ TEST(OpsExpr, NaturalExpressionIsOneRebinAndBitIdenticalToLincomb) {
       compressor.compress(random_smooth(Shape{40, 24}, rng, 5));
   const double dt = 0.125;
 
-  const long before = ops::lincomb_rebin_passes();
+  const std::uint64_t before = rebin_passes();
   const CompressedArray via_expr = h - dt * a + dt * b + c;
-  EXPECT_EQ(ops::lincomb_rebin_passes() - before, 1)
+  EXPECT_EQ(rebin_passes() - before, 1u)
       << "a 4-term expression must evaluate as one lincomb, one rebin";
 
   const CompressedArray direct =
@@ -64,12 +72,12 @@ TEST(OpsExpr, NaturalExpressionIsOneRebinAndBitIdenticalToLincomb) {
   expect_bit_identical(via_expr, direct, "expr vs direct lincomb");
 
   // The chained spelling of the same update pays one rebin per binary op.
-  const long chained_before = ops::lincomb_rebin_passes();
+  const std::uint64_t chained_before = rebin_passes();
   const CompressedArray chained = ops::add(
       ops::add(ops::subtract(h, ops::multiply_scalar(a, dt)),
                ops::multiply_scalar(b, dt)),
       c);
-  EXPECT_EQ(ops::lincomb_rebin_passes() - chained_before, 3);
+  EXPECT_EQ(rebin_passes() - chained_before, 3u);
 }
 
 TEST(OpsExpr, TreeFlattensAtCompileTime) {
@@ -180,9 +188,9 @@ TEST(OpsExpr, CompoundAssignmentsRouteThroughOneRebin) {
       compressor.compress(random_smooth(Shape{32, 32}, rng, 5));
   const CompressedArray state0 = state;
 
-  const long before = ops::lincomb_rebin_passes();
+  const std::uint64_t before = rebin_passes();
   state += 0.5 * a - 0.25 * b;
-  EXPECT_EQ(ops::lincomb_rebin_passes() - before, 1);
+  EXPECT_EQ(rebin_passes() - before, 1u);
   expect_bit_identical(
       state, ops::lincomb({{1.0, &state0}, {0.5, &a}, {-0.25, &b}}), "+=");
 

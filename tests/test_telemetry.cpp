@@ -23,9 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/codec/compressor.hpp"
+#include "core/ndarray/ndarray_ops.hpp"
 #include "core/parallel/thread_pool.hpp"
 #include "core/telemetry/telemetry.hpp"
 #include "core/telemetry/trace.hpp"
+#include "core/util/rng.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every global new (scalar/array, throwing/nothrow,
@@ -212,6 +215,34 @@ TEST(Telemetry, ShardMergeExactUnderParallelForHammer) {
       find_histogram(telemetry::snapshot(), "test.hammer.hist");
   ASSERT_NE(hs, nullptr);
   EXPECT_EQ(hs->count, static_cast<std::uint64_t>(kIterations));
+}
+
+TEST(Telemetry, TwoThreadRoundTripRecordsQueueWaitAndCodecBytes) {
+  // What a CC_STATS dump must show after a threaded compress + decompress:
+  // the scheduler queue-wait histogram sampled (regions went through the
+  // pool, not inline) and both codec output-byte counters advanced.
+  struct ThreadGuard {
+    ~ThreadGuard() { parallel::set_num_threads(0); }
+  } guard;
+  parallel::set_num_threads(2);
+  const telemetry::Snapshot before = telemetry::snapshot();
+  const telemetry::HistogramSnapshot* wait_before =
+      find_histogram(before, "sched.region.queue_wait_ns");
+
+  Rng rng(5);
+  Compressor compressor({.block_shape = Shape{4, 4}});
+  const CompressedArray compressed =
+      compressor.compress(random_smooth(Shape{64, 64}, rng));
+  (void)compressor.decompress(compressed);
+
+  const telemetry::Snapshot after = telemetry::snapshot();
+  const telemetry::HistogramSnapshot* wait =
+      find_histogram(after, "sched.region.queue_wait_ns");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_GT(wait->count, wait_before ? wait_before->count : 0u);
+  for (const char* name : {"codec.compress.output_bytes",
+                           "codec.decompress.output_bytes"})
+    EXPECT_GT(find_counter(after, name), find_counter(before, name)) << name;
 }
 
 TEST(Telemetry, SnapshotJsonHasSchemaAndQuantileFields) {

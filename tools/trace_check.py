@@ -17,26 +17,10 @@ Checks, in order:
   4. Every --require-span NAME appears at least once (exact match on the
      event name).  CI uses this to prove the smoke run actually exercised
      the codec, ops, and scheduler instrumentation.
-  5. With --stats, the CC_STATS snapshot JSON is also validated: expected
-     schema, scheduler queue-wait histogram with p50/p95/p99, and nonzero
-     codec byte counters.
-  6. With --cache-stats (opt-in, only meaningful when the run had
-     CC_CACHE_BLOCKS > 0), the snapshot must additionally carry nonzero
-     cache.hits and cache.misses counters and a sampled cache.lookup_ns
-     histogram — proof the decoded-block cache path actually ran.  The
-     scheduler queue-wait requirement from (5) is skipped in this mode: a
-     cache workload may never schedule a parallel region.
-  7. With --batch-stats (opt-in, for bench_lincomb_batch runs), the snapshot
-     must carry the four ops.lincomb_batch counters with calls >= 1,
-     expressions >= calls, operands_distinct >= calls, decodes_avoided >= 1
-     (the fused path actually amortized something), and a sampled
-     ops.lincomb_batch.wall_ns histogram.  --batch-arity-bound /
-     --batch-blocks-bound additionally assert decodes_avoided <=
-     expressions * arity * blocks — the counter can never claim more decodes
-     than the sequential path would have performed.  Like --cache-stats,
-     the scheduler queue-wait requirement is skipped (the bench pins one
-     thread), and only the compress byte counter is required (the batch
-     bench never decompresses).
+  5. With --stats, the CC_STATS snapshot JSON is also validated for format:
+     the expected schema, `counters` and `histograms` objects, and p50/p95/p99
+     on every histogram that has samples.  What the counters should hold
+     after a given workload is pinned by the unit tests that run it.
 
 Exits 0 when everything holds, 1 with a diagnostic per failure otherwise.
 """
@@ -118,63 +102,10 @@ def check_trace(path, require_spans):
     return failures
 
 
-# CC_STATS invariants the smoke run must satisfy: the queue-wait histogram
-# proves the scheduler path ran, the byte counters prove the codec path ran.
-STATS_REQUIRED_HISTOGRAM = "sched.region.queue_wait_ns"
-STATS_REQUIRED_QUANTILES = ("p50", "p95", "p99")
-STATS_REQUIRED_COUNTERS = ("codec.compress.output_bytes",
-                           "codec.decompress.output_bytes")
+STATS_QUANTILES = ("p50", "p95", "p99")
 
 
-# Decoded-block cache invariants (opt-in via --cache-stats): the counters
-# prove lookups happened, the latency histogram proves they were timed.
-CACHE_REQUIRED_COUNTERS = ("cache.hits", "cache.misses")
-CACHE_REQUIRED_HISTOGRAM = "cache.lookup_ns"
-
-
-# Batched-evaluation invariants (opt-in via --batch-stats): the counters
-# prove lincomb_batch's fused path ran and amortized decodes.
-BATCH_REQUIRED_COUNTERS = ("ops.lincomb_batch.calls",
-                           "ops.lincomb_batch.expressions",
-                           "ops.lincomb_batch.operands_distinct",
-                           "ops.lincomb_batch.decodes_avoided")
-BATCH_REQUIRED_HISTOGRAM = "ops.lincomb_batch.wall_ns"
-
-
-def check_batch_counters(path, counters, arity_bound, blocks_bound):
-    """The --batch-stats counter invariants; returns the failure count."""
-    failures = 0
-    for name in BATCH_REQUIRED_COUNTERS:
-        if counters.get(name, 0) <= 0:
-            failures += fail(f"{path}: counter {name!r} missing or zero — "
-                             "did the run evaluate a shared-operand batch?")
-    if failures:
-        return failures
-    calls = counters["ops.lincomb_batch.calls"]
-    expressions = counters["ops.lincomb_batch.expressions"]
-    distinct = counters["ops.lincomb_batch.operands_distinct"]
-    avoided = counters["ops.lincomb_batch.decodes_avoided"]
-    if expressions < calls:
-        failures += fail(f"{path}: lincomb_batch expressions ({expressions}) "
-                         f"< calls ({calls}) — every call carries >= 1 "
-                         "expression")
-    if distinct < calls:
-        failures += fail(f"{path}: lincomb_batch operands_distinct "
-                         f"({distinct}) < calls ({calls}) — every call has "
-                         ">= 1 distinct operand")
-    if arity_bound is not None and blocks_bound is not None:
-        limit = expressions * arity_bound * blocks_bound
-        if avoided > limit:
-            failures += fail(
-                f"{path}: decodes_avoided ({avoided}) exceeds expressions * "
-                f"arity * blocks ({expressions} * {arity_bound} * "
-                f"{blocks_bound} = {limit}) — the counter claims more decodes "
-                "than sequential evaluation would have performed")
-    return failures
-
-
-def check_stats(path, cache_stats=False, batch_stats=False,
-                batch_arity_bound=None, batch_blocks_bound=None):
+def check_stats(path):
     try:
         with open(path) as f:
             data = json.load(f)
@@ -184,69 +115,27 @@ def check_stats(path, cache_stats=False, batch_stats=False,
     failures = 0
     if data.get("schema") != "pyblaz-telemetry-v1":
         failures += fail(f"{path}: unexpected schema {data.get('schema')!r}")
+    for section in ("counters", "histograms"):
+        if not isinstance(data.get(section), dict):
+            failures += fail(f"{path}: no {section} object")
+    if failures:
+        return failures
 
-    histograms = data.get("histograms", {})
-    if cache_stats or batch_stats:
-        # These harnesses may legitimately never schedule a parallel region
-        # (single-element gets; the batch bench pins one thread, and
-        # single-core hosts run regions inline), so the scheduler queue-wait
-        # requirement is scoped to the multi-client invocation.
-        pass
-    else:
-        queue_wait = histograms.get(STATS_REQUIRED_HISTOGRAM)
-        if not isinstance(queue_wait, dict):
-            failures += fail(f"{path}: histogram {STATS_REQUIRED_HISTOGRAM!r} "
-                             "missing")
-        else:
-            if queue_wait.get("count", 0) <= 0:
-                failures += fail(f"{path}: {STATS_REQUIRED_HISTOGRAM} has no "
-                                 "samples — no region was ever scheduled")
-            for quantile in STATS_REQUIRED_QUANTILES:
-                if quantile not in queue_wait:
-                    failures += fail(f"{path}: {STATS_REQUIRED_HISTOGRAM} "
-                                     f"missing {quantile}")
-
-    counters = data.get("counters", {})
-    # The batch bench compresses its operand arrays but never decompresses,
-    # so only the compress byte counter applies in --batch-stats mode.
-    required_counters = (STATS_REQUIRED_COUNTERS[:1] if batch_stats
-                         else STATS_REQUIRED_COUNTERS)
-    for name in required_counters:
-        if counters.get(name, 0) <= 0:
-            failures += fail(f"{path}: counter {name!r} missing or zero")
-
-    if batch_stats:
-        failures += check_batch_counters(path, counters, batch_arity_bound,
-                                         batch_blocks_bound)
-        wall = histograms.get(BATCH_REQUIRED_HISTOGRAM)
-        if not isinstance(wall, dict) or wall.get("count", 0) <= 0:
-            failures += fail(f"{path}: histogram {BATCH_REQUIRED_HISTOGRAM!r} "
-                             "missing or empty")
-
-    if cache_stats:
-        for name in CACHE_REQUIRED_COUNTERS:
-            if counters.get(name, 0) <= 0:
-                failures += fail(f"{path}: counter {name!r} missing or zero "
-                                 "(was CC_CACHE_BLOCKS set for the run?)")
-        lookup = histograms.get(CACHE_REQUIRED_HISTOGRAM)
-        if not isinstance(lookup, dict) or lookup.get("count", 0) <= 0:
-            failures += fail(f"{path}: histogram {CACHE_REQUIRED_HISTOGRAM!r} "
-                             "missing or empty")
+    sampled = 0
+    for name, histogram in data["histograms"].items():
+        if not isinstance(histogram, dict):
+            failures += fail(f"{path}: histogram {name!r} is not an object")
+        elif histogram.get("count", 0) > 0:
+            sampled += 1
+            for quantile in STATS_QUANTILES:
+                if quantile not in histogram:
+                    failures += fail(f"{path}: histogram {name!r} has "
+                                     f"samples but no {quantile}")
 
     if not failures:
-        if batch_stats:
-            print(f"trace_check: {path}: stats snapshot has consistent "
-                  "lincomb_batch counters (calls/expressions/"
-                  "operands_distinct/decodes_avoided) and the wall-time "
-                  "histogram")
-        elif cache_stats:
-            print(f"trace_check: {path}: stats snapshot has nonzero codec "
-                  "byte counters, cache lookup counters, and the "
-                  "lookup-latency histogram")
-        else:
-            print(f"trace_check: {path}: stats snapshot has "
-                  f"{STATS_REQUIRED_HISTOGRAM} quantiles and nonzero codec "
-                  "byte counters")
+        print(f"trace_check: {path}: stats snapshot well-formed: "
+              f"{len(data['counters'])} counter(s), {sampled} sampled "
+              "histogram(s) with p50/p95/p99")
     return failures
 
 
@@ -265,41 +154,11 @@ def main():
         metavar="STATS.json",
         help="also validate a CC_STATS snapshot JSON",
     )
-    parser.add_argument(
-        "--cache-stats",
-        action="store_true",
-        help="with --stats, additionally require the decoded-block cache "
-        "counters and lookup-latency histogram (run with CC_CACHE_BLOCKS > 0)",
-    )
-    parser.add_argument(
-        "--batch-stats",
-        action="store_true",
-        help="with --stats, additionally require consistent "
-        "ops.lincomb_batch counters and the wall-time histogram "
-        "(for bench_lincomb_batch runs)",
-    )
-    parser.add_argument(
-        "--batch-arity-bound",
-        type=int,
-        metavar="N",
-        help="with --batch-stats: max operands per expression in the run, "
-        "for the decodes_avoided <= expressions * arity * blocks bound",
-    )
-    parser.add_argument(
-        "--batch-blocks-bound",
-        type=int,
-        metavar="N",
-        help="with --batch-stats: max blocks per array in the run, for the "
-        "decodes_avoided bound",
-    )
     args = parser.parse_args()
 
     failures = check_trace(args.trace, args.require_span)
     if args.stats:
-        failures += check_stats(args.stats, cache_stats=args.cache_stats,
-                                batch_stats=args.batch_stats,
-                                batch_arity_bound=args.batch_arity_bound,
-                                batch_blocks_bound=args.batch_blocks_bound)
+        failures += check_stats(args.stats)
     return 1 if failures else 0
 
 
