@@ -589,8 +589,7 @@ void bench_backends(Harness& harness) {
   std::vector<double> dct_tmp(static_cast<std::size_t>(dct_volume));
 
   for (kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kAvx2,
-        kernels::Backend::kNeon}) {
+       {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
     if (!kernels::backend_available(backend)) continue;
     kernels::set_backend(backend);
     const kernels::KernelTable& table = kernels::active();

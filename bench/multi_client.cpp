@@ -1,26 +1,15 @@
 /// Multi-client scheduler benchmark: M concurrent sessions each running the
 /// canonical request pipeline — compress → fused lincomb (via the expression
-/// front end) → decompress — against the process-wide scheduler, measuring
-/// whether independent requests actually overlap.
+/// front end) → decompress — against the process-wide scheduler.
 ///
 /// Usage: bench_multi_client [OUTPUT.json] [--smoke] [--batch]
 ///
-/// Every (mode, clients) cell fires `clients` threads that run the identical
-/// session workload; the harness records aggregate throughput plus p50/p95
-/// per-request latency.  Two modes run side by side on the same binary:
-///
-///   serialized — parallel::set_serialize_regions(true): top-level regions
-///                queue through one gate, the pre-sharding scheduler's
-///                behavior (the baseline);
-///   sharded    — the concurrent-region scheduler (the default).
-///
-/// The acceptance story (ISSUE 5 / docs/PERF.md) is measured overlap:
-/// sharded aggregate throughput at 2+ clients beats the serialized baseline
-/// on a multi-core machine, with bit-identical results — every client checks
-/// its bytes against a precomputed sequential reference every iteration, so
-/// the benchmark doubles as a concurrency correctness harness.  On a
-/// single-core host the two modes are expected to tie (there is nothing to
-/// overlap onto); the harness prints that caveat instead of a warning.
+/// Each cell fires `clients` threads that run the identical session
+/// workload; the harness records aggregate throughput plus p50/p95/p99
+/// per-request latency.  Every client checks its bytes against a
+/// precomputed sequential reference every iteration, so the benchmark
+/// doubles as a concurrency correctness harness: it exits 1 on any
+/// mismatch.
 ///
 /// --batch swaps the per-request work for the coalesced-session shape: each
 /// client builds K=4 expressions sharing 3 of 4 operands and submits them as
@@ -67,7 +56,6 @@ struct BenchConfig {
 };
 
 struct CellResult {
-  std::string mode;
   int clients = 0;
   int threads = 0;
   int iterations_per_client = 0;
@@ -182,14 +170,12 @@ double percentile(std::vector<double>& sorted_ascending, double q) {
   return sorted_ascending[lo] * (1.0 - frac) + sorted_ascending[hi] * frac;
 }
 
-/// Run one (mode, clients) cell.  Returns false on any bit-mismatch against
-/// the sequential reference.
+/// Run the cell for @p clients concurrent clients.  Returns false on any
+/// bit-mismatch against the sequential reference.
 bool run_cell(const BenchConfig& config, const SessionWorkload& workload,
               const std::vector<std::uint8_t>& reference_bytes,
-              const NDArray<double>& reference_decoded, bool serialized,
-              int clients, CellResult* result) {
-  parallel::set_serialize_regions(serialized);
-
+              const NDArray<double>& reference_decoded, int clients,
+              CellResult* result) {
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::atomic<int> mismatches{0};
@@ -238,7 +224,6 @@ bool run_cell(const BenchConfig& config, const SessionWorkload& workload,
   for (auto& mine : latencies) all.insert(all.end(), mine.begin(), mine.end());
   std::sort(all.begin(), all.end());
 
-  result->mode = serialized ? "serialized" : "sharded";
   result->clients = clients;
   result->threads = parallel::num_threads();
   result->iterations_per_client = config.iterations;
@@ -250,9 +235,9 @@ bool run_cell(const BenchConfig& config, const SessionWorkload& workload,
   result->p99_seconds = percentile(all, 0.99);
 
   std::printf(
-      "%-10s clients=%d threads=%d  %8.2f ops/s  p50 %7.2f ms  p95 %7.2f ms  "
+      "clients=%d threads=%d  %8.2f ops/s  p50 %7.2f ms  p95 %7.2f ms  "
       "p99 %7.2f ms%s\n",
-      result->mode.c_str(), clients, result->threads, result->ops_per_second,
+      clients, result->threads, result->ops_per_second,
       result->p50_seconds * 1e3, result->p95_seconds * 1e3,
       result->p99_seconds * 1e3, mismatches.load() ? "  BIT-MISMATCH" : "");
   std::fflush(stdout);
@@ -278,13 +263,12 @@ bool write_json(const std::string& path, const char* cell_name,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& r = cells[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": "
-                 "\"%s\", \"mode\": \"%s\", \"clients\": %d, \"threads\": %d, "
-                 "\"iterations_per_client\": %d, \"seconds_total\": %.6e, "
-                 "\"ops_per_second\": %.6e, \"p50_seconds\": %.6e, "
-                 "\"p95_seconds\": %.6e, \"p99_seconds\": %.6e}%s\n",
-                 cell_name, shape_text.c_str(), r.mode.c_str(), r.clients,
-                 r.threads,
+                 "    {\"name\": \"%s\", \"shape\": \"%s\", \"clients\": %d, "
+                 "\"threads\": %d, \"iterations_per_client\": %d, "
+                 "\"seconds_total\": %.6e, \"ops_per_second\": %.6e, "
+                 "\"p50_seconds\": %.6e, \"p95_seconds\": %.6e, "
+                 "\"p99_seconds\": %.6e}%s\n",
+                 cell_name, shape_text.c_str(), r.clients, r.threads,
                  r.iterations_per_client, r.seconds_total, r.ops_per_second,
                  r.p50_seconds, r.p95_seconds, r.p99_seconds,
                  i + 1 < cells.size() ? "," : "");
@@ -333,43 +317,11 @@ int main(int argc, char** argv) {
 
   std::vector<CellResult> cells;
   bool all_identical = true;
-  for (bool serialized : {true, false}) {
-    for (int clients : config.client_counts) {
-      CellResult cell;
-      all_identical &= run_cell(config, workload, reference_bytes,
-                                reference_decoded, serialized, clients, &cell);
-      cells.push_back(cell);
-    }
-  }
-  parallel::set_serialize_regions(false);
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("\noverlap (sharded over serialized aggregate throughput):\n");
-  bool overlap_suspect = false;
   for (int clients : config.client_counts) {
-    const CellResult* sharded = nullptr;
-    const CellResult* serialized = nullptr;
-    for (const CellResult& r : cells) {
-      if (r.clients != clients) continue;
-      (r.mode == "sharded" ? sharded : serialized) = &r;
-    }
-    if (!sharded || !serialized || serialized->ops_per_second <= 0) continue;
-    const double ratio = sharded->ops_per_second / serialized->ops_per_second;
-    std::printf("  clients=%d  %5.2fx\n", clients, ratio);
-    if (clients >= 2 && ratio < 1.2) overlap_suspect = true;
-  }
-  if (overlap_suspect) {
-    if (hw <= 1)
-      std::printf(
-          "note: single-core host — concurrent clients have nothing to "
-          "overlap onto, so sharded ~= serialized here is the expected "
-          "physics; re-measure on a machine with cores.\n");
-    else
-      std::fprintf(stderr,
-                   "warning: <1.2x overlap at 2+ clients on a %u-core host — "
-                   "regions may still be queueing; rerun on a quiet machine "
-                   "before trusting this\n",
-                   hw);
+    CellResult cell;
+    all_identical &= run_cell(config, workload, reference_bytes,
+                              reference_decoded, clients, &cell);
+    cells.push_back(cell);
   }
 
   if (!all_identical) {

@@ -13,7 +13,7 @@
 
 namespace pyblaz::parallel {
 
-/// Per-region job object of the sharded concurrent-region scheduler.
+/// Per-region job object of the concurrent-region scheduler.
 ///
 /// One TaskContext lives on the submitting caller's stack for the duration of
 /// its parallel region and owns everything that used to be the pool's single
@@ -29,10 +29,10 @@ namespace pyblaz::parallel {
 /// never affects results.
 ///
 /// Lifecycle protocol (what makes stack ownership safe):
-///   - The context is discoverable by workers only while it is listed in a
-///     shard queue.  A worker registers as a drainer (add_drainer) under the
-///     owning shard's mutex, and delisting also happens under that mutex, so
-///     after delisting no new drainer can appear.
+///   - The context is discoverable by other threads only while it is listed
+///     in the scheduler's region list.  A thread registers as a drainer
+///     (add_drainer) under the list's mutex, and delisting also happens under
+///     that mutex, so after delisting no new drainer can appear.
 ///   - Every drainer's claim loop ends by observing exhaustion, which delists
 ///     the context (idempotently).  The submitting caller always drains its
 ///     own region, so delisting is guaranteed before the caller waits.
@@ -49,30 +49,22 @@ namespace pyblaz::parallel {
 /// cc::Error(kDeadlineExceeded) through the ordinary exception slot.
 class TaskContext {
  public:
-  /// @p submit_time is when the caller asked for the region (captured before
-  /// any serialize-gate wait), so submit -> first-claim telemetry measures
-  /// true scheduling latency including queueing.  @p deadline is absolute;
+  /// The submit time is captured here, before the caller waits at the
+  /// reconfigure gate, so submit -> first-claim telemetry measures true
+  /// scheduling latency including queueing.  @p deadline is absolute;
   /// time_point::max() means none.
   TaskContext(index_t num_chunks, const std::function<void(index_t)>& fn,
-              int shard,
-              std::chrono::steady_clock::time_point submit_time =
-                  std::chrono::steady_clock::now(),
               std::chrono::steady_clock::time_point deadline =
                   std::chrono::steady_clock::time_point::max())
       : fn_(&fn),
         num_chunks_(num_chunks),
-        shard_(shard),
-        submit_time_(submit_time),
+        submit_time_(std::chrono::steady_clock::now()),
         deadline_(deadline) {}
 
   TaskContext(const TaskContext&) = delete;
   TaskContext& operator=(const TaskContext&) = delete;
 
   index_t num_chunks() const { return num_chunks_; }
-
-  /// Index of the shard queue this region is listed in (fixed at submission;
-  /// the shard count cannot change while any region is live).
-  int shard() const { return shard_; }
 
   /// When the caller submitted the region (see constructor).
   std::chrono::steady_clock::time_point submit_time() const {
@@ -84,7 +76,7 @@ class TaskContext {
   /// leave.
   index_t claim() { return next_chunk_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// True while unclaimed chunks remain — the shard-scan predicate.
+  /// True while unclaimed chunks remain — the region-scan predicate.
   bool claimable() const {
     return next_chunk_.load(std::memory_order_relaxed) < num_chunks_;
   }
@@ -95,12 +87,12 @@ class TaskContext {
   /// every chunk body's writes happen-before the caller's return.
   void finish_chunk() { chunks_done_.fetch_add(1, std::memory_order_acq_rel); }
 
-  /// Register a worker as a drainer.  MUST be called under the owning
-  /// shard's mutex while the context is still listed — that is what keeps
-  /// the caller from destroying the context underneath the worker.
+  /// Register a drainer.  MUST be called under the region list's mutex
+  /// while the context is still listed — that is what keeps the caller from
+  /// destroying the context underneath the drainer.
   void add_drainer() { drainers_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Deregister a worker.  Taking the mutex around the decrement pairs with
+  /// Deregister a drainer.  Taking the mutex around the decrement pairs with
   /// the wait in wait_complete(): the final leave cannot slip between the
   /// caller's predicate check and its sleep.  The notify stays UNDER the
   /// mutex deliberately: once drainers_ hits zero the caller may wake (even
@@ -185,7 +177,6 @@ class TaskContext {
  private:
   const std::function<void(index_t)>* fn_;
   const index_t num_chunks_;
-  const int shard_;
   const std::chrono::steady_clock::time_point submit_time_;
   const std::chrono::steady_clock::time_point deadline_;
 

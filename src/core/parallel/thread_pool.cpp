@@ -1,9 +1,8 @@
 #include "core/parallel/thread_pool.hpp"
 
-#include <array>
 #include <chrono>
 #include <cstdlib>
-#include <string>
+#include <stdexcept>
 
 #include "core/codec/workspace.hpp"
 #include "core/error/error.hpp"
@@ -20,24 +19,11 @@ thread_local std::chrono::steady_clock::time_point t_deadline =
     std::chrono::steady_clock::time_point::max();
 
 // --------------------------------------------------------------- telemetry
-// All observational: counters and histograms never influence chunking, claim
-// order, or shard routing, so the determinism contract is untouched.
-
-/// Chunks executed per shard queue — the load-balance picture across shards.
-telemetry::Counter& shard_claims(int shard) {
-  static const std::array<telemetry::Counter*, ThreadPool::kMaxShards>
-      counters = [] {
-        std::array<telemetry::Counter*, ThreadPool::kMaxShards> out{};
-        for (int s = 0; s < ThreadPool::kMaxShards; ++s)
-          out[static_cast<std::size_t>(s)] = &telemetry::counter(
-              "sched.shard" + std::to_string(s) + ".claims");
-        return out;
-      }();
-  return *counters[static_cast<std::size_t>(shard)];
-}
+// All observational: counters and histograms never influence chunking or
+// claim order, so the determinism contract is untouched.
 
 /// Submit -> first chunk claim: how long a region queued before anything ran
-/// (includes the serialize-gate wait in CC_SERIALIZE_REGIONS mode).
+/// (includes any wait at the reconfigure gate).
 void record_first_claim(const TaskContext* context) {
   static telemetry::Histogram& queue_wait =
       telemetry::histogram("sched.region.queue_wait_ns");
@@ -45,14 +31,6 @@ void record_first_claim(const TaskContext* context) {
                                 std::chrono::steady_clock::now() -
                                 context->submit_time())
                                 .count());
-}
-
-/// Claim accounting shared by every drain loop: the per-shard chunk count
-/// plus the region's one-time queue-wait sample (first claim is chunk 0 by
-/// construction — the claim counter starts there).
-void record_chunk_claim(const TaskContext* context, index_t chunk) {
-  if (chunk == 0) record_first_claim(context);
-  shard_claims(context->shard()).increment();
 }
 
 /// Once per region that missed its deadline — pool path (run_region's
@@ -82,32 +60,17 @@ struct InsidePoolGuard {
   ~InsidePoolGuard() { t_inside_pool = previous; }
 };
 
-/// @p name parsed as a positive int, clamped to @p max_value; @p fallback
-/// when unset or unparsable.
-int env_int(const char* name, int fallback, int max_value) {
-  if (const char* env = std::getenv(name)) {
+/// CC_THREADS parsed as a positive int (clamped to 1024), else the hardware
+/// thread count.
+int default_thread_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (const char* env = std::getenv("CC_THREADS")) {
     char* end = nullptr;
     const long parsed = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && parsed > 0)
-      return static_cast<int>(std::min<long>(parsed, max_value));
+      return static_cast<int>(std::min<long>(parsed, 1024));
   }
-  return fallback;
-}
-
-bool env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && std::string(env) != "0" && std::string(env) != "";
-}
-
-int default_thread_count() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return env_int("CC_THREADS", hw == 0 ? 1 : static_cast<int>(hw), 1024);
-}
-
-/// Shards bound submission/scan contention, not parallelism, so a small
-/// fixed default serves any machine; CC_SHARDS overrides (tests sweep it).
-int default_shard_count() {
-  return env_int("CC_SHARDS", 8, ThreadPool::kMaxShards);
+  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 }  // namespace
@@ -117,10 +80,7 @@ ThreadPool& ThreadPool::instance() {
   return pool;
 }
 
-ThreadPool::ThreadPool()
-    : target_threads_(default_thread_count()),
-      num_shards_(default_shard_count()),
-      serialize_regions_(env_flag("CC_SERIALIZE_REGIONS")) {}
+ThreadPool::ThreadPool() : target_threads_(default_thread_count()) {}
 
 ThreadPool::~ThreadPool() {
   std::vector<std::thread> stopped;
@@ -133,8 +93,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : stopped) worker.join();
 }
 
-void ThreadPool::reconfigure_quiescent(
-    bool restart_workers, const std::function<void()>& reconfigure) {
+void ThreadPool::set_num_threads(int n) {
+  // Quiescence counts the caller's own region, so a resize from inside one
+  // would wait for itself forever while its closed gate blocked every other
+  // submitter.  Refuse it at every thread count, inline path included.
+  if (t_inside_pool)
+    throw std::logic_error(
+        "parallel::set_num_threads called from inside a parallel region");
   std::lock_guard<std::mutex> serial(reconfigure_mutex_);
   std::vector<std::thread> stopped;
   {
@@ -144,143 +109,88 @@ void ThreadPool::reconfigure_quiescent(
     // already in flight drain to zero.
     ++reconfigure_waiters_;
     quiescent_cv_.wait(lock, [&] { return live_regions_ == 0; });
-    if (restart_workers) {
-      stop_ = true;
-      stopped.swap(workers_);
-    }
+    stop_ = true;
+    stopped.swap(workers_);
   }
   worker_cv_.notify_all();
   for (std::thread& worker : stopped) worker.join();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = false;
-    reconfigure();
+    target_threads_.store(n > 0 ? std::min(n, 1024) : default_thread_count(),
+                          std::memory_order_relaxed);
     --reconfigure_waiters_;
   }
   submit_cv_.notify_all();
 }
 
-void ThreadPool::set_num_threads(int n) {
-  reconfigure_quiescent(/*restart_workers=*/true, [&] {
-    target_threads_.store(n > 0 ? std::min(n, 1024) : default_thread_count(),
-                          std::memory_order_relaxed);
-  });
-}
-
-void ThreadPool::set_num_shards(int n) {
-  // No worker restart: quiescence means every shard queue is empty, so the
-  // scan range can change out from under nobody.
-  reconfigure_quiescent(/*restart_workers=*/false, [&] {
-    num_shards_.store(n > 0 ? std::min(n, kMaxShards) : default_shard_count(),
-                      std::memory_order_relaxed);
-  });
-}
-
 void ThreadPool::ensure_workers_locked() {
   stop_ = false;
   const int wanted = std::max(0, num_threads() - 1);  // Callers participate.
-  for (int w = static_cast<int>(workers_.size()); w < wanted; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w); });
+  while (static_cast<int>(workers_.size()) < wanted)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
-void ThreadPool::worker_loop(int worker_index) {
-  std::uint64_t seen_generation = 0;
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      // Reading the generation under mutex_ before scanning closes the
-      // submit race: a region is listed in its shard before the generation
-      // is bumped, so either this scan sees the region or the next wait
-      // observes the newer generation and rescans.
-      worker_cv_.wait(lock, [&] {
-        return stop_ || submit_generation_ != seen_generation;
-      });
-      if (stop_) return;
-      seen_generation = submit_generation_;
-    }
-    for (;;) {
-      TaskContext* context = find_work(worker_index);
-      if (!context) break;
-      execute_region_chunks(context);
-      context->remove_drainer_and_notify();
-    }
+    // Scanning under the same mutex that lists regions closes the submit
+    // race: a region listed after this scan notifies worker_cv_, and the
+    // wait rescans before sleeping.
+    TaskContext* context = nullptr;
+    worker_cv_.wait(lock, [&] {
+      return stop_ || (context = find_work_locked()) != nullptr;
+    });
+    if (stop_) return;
+    lock.unlock();
+    drain(context);
+    context->remove_drainer_and_notify();
+    lock.lock();
   }
 }
 
-TaskContext* ThreadPool::find_work(int start_shard) {
-  const int shards = num_shards();
-  for (int offset = 0; offset < shards; ++offset) {
-    Shard& shard = shards_[(start_shard + offset) % shards];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (TaskContext* context : shard.regions) {
-      if (context->claimable()) {
-        // Registering under the shard mutex, while the context is still
-        // listed, is what keeps the submitting caller from tearing the
-        // region down before this worker's claims are accounted.
-        context->add_drainer();
-        return context;
-      }
+TaskContext* ThreadPool::find_work_locked() {
+  for (TaskContext* context : regions_) {
+    if (context->claimable()) {
+      // Registering under mutex_, while the context is still listed, is
+      // what keeps the submitting caller from tearing the region down
+      // before this drainer's claims are accounted.
+      context->add_drainer();
+      return context;
     }
   }
   return nullptr;
 }
 
-void ThreadPool::execute_region_chunks(TaskContext* context) {
+void ThreadPool::drain(TaskContext* context, TaskContext* own) {
   InsidePoolGuard guard;
   // A fresh workspace frame per drain: chunk bodies of this region can never
   // clobber coefficient rows held by an enclosing chunk body on this thread
   // (nested inline regions) — see core/codec/workspace.hpp.
   internal::WorkspaceScope workspace_frame;
-  telemetry::TraceSpan span("sched.region",
-                            static_cast<std::uint64_t>(context->shard()));
-  for (;;) {
-    const index_t chunk = context->claim();
-    if (chunk >= context->num_chunks()) break;
-    record_chunk_claim(context, chunk);
-    // A cancelled region's chunks are claimed and finished but not run:
-    // exhaustion, delisting, and wait_complete() tear the region down
-    // through the unchanged protocol, leaving the scheduler reusable.
-    if (!context->check_deadline()) {
-      try {
-        fault::point("sched.chunk");
-        context->run(chunk);
-      } catch (...) {
-        context->record_exception(std::current_exception());
-      }
-    }
-    context->finish_chunk();
-  }
-  // Every drainer's last claim lands here, so the region is guaranteed
-  // delisted (idempotently) before its caller can pass wait_complete().
-  delist(context);
-}
-
-void ThreadPool::drain_foreign_chunks(TaskContext* context, TaskContext* own) {
-  InsidePoolGuard guard;
-  // Same workspace-frame contract as execute_region_chunks: a fresh frame
-  // per drain keeps the foreign region's chunk bodies from clobbering
-  // coefficient rows held by any enclosing chunk body on this thread.
-  internal::WorkspaceScope workspace_frame;
-  // Work-conservation accounting: every episode here is a waiting caller
-  // usefully draining somebody else's region instead of spinning.
+  // Work-conservation accounting: every assist is a waiting caller usefully
+  // draining somebody else's region instead of spinning.
   static telemetry::Counter& drains =
       telemetry::counter("sched.cross_region.drains");
   static telemetry::Counter& drained_chunks =
       telemetry::counter("sched.cross_region.drained_chunks");
-  drains.increment();
-  telemetry::TraceSpan span("sched.assist",
-                            static_cast<std::uint64_t>(context->shard()));
+  if (own) drains.increment();
+  telemetry::TraceSpan span(own ? "sched.assist" : "sched.region");
   for (;;) {
     const index_t chunk = context->claim();
     if (chunk >= context->num_chunks()) {
-      // Observed exhaustion: this drainer delists, same rule as the workers.
+      // Every drainer that observes exhaustion delists (idempotently), so the
+      // region is delisted before its caller can pass wait_complete().
       delist(context);
-      break;
+      return;
     }
-    record_chunk_claim(context, chunk);
-    drained_chunks.increment();
-    // Same cancellation rule as execute_region_chunks — the foreign region's
-    // own deadline, not the waiting caller's.
+    // The claim counter starts at 0, so chunk 0 is the region's first claim.
+    if (chunk == 0) record_first_claim(context);
+    if (own) drained_chunks.increment();
+    // A cancelled region's chunks are claimed and finished but not run:
+    // exhaustion, delisting, and wait_complete() tear the region down
+    // through the normal protocol, leaving the scheduler reusable.  The
+    // deadline is the drained region's own, not the assisting caller's.
     if (!context->check_deadline()) {
       try {
         fault::point("sched.chunk");
@@ -290,10 +200,10 @@ void ThreadPool::drain_foreign_chunks(TaskContext* context, TaskContext* own) {
       }
     }
     context->finish_chunk();
-    // Return to the waiting caller as soon as its own region finishes.  The
-    // foreign region stays listed — it is still claimable, and delisting on
+    // An assisting waiter returns as soon as its own region finishes.  The
+    // drained region stays listed — it is still claimable, and delisting on
     // an early stop would hide its remaining chunks from every scanner.
-    if (own->chunks_complete()) break;
+    if (own && own->chunks_complete()) return;
   }
 }
 
@@ -303,30 +213,31 @@ void ThreadPool::assist_while_incomplete(TaskContext* own) {
     // claimed before the deadline passed but the tail is stalled in a
     // worker, this is where cancellation gets recorded.
     own->check_deadline();
-    TaskContext* other = find_work(own->shard());
+    TaskContext* other = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      other = find_work_locked();
+    }
     if (!other) {
       // Nothing claimable anywhere: sleep on our own completion, but keep
       // rescanning in case a new region arrives while our tail still runs.
       if (own->wait_complete_for(std::chrono::microseconds(200))) return;
       continue;
     }
-    drain_foreign_chunks(other, own);
+    drain(other, own);
     other->remove_drainer_and_notify();
   }
   own->wait_complete();
 }
 
 void ThreadPool::delist(TaskContext* context) {
-  Shard& shard = shards_[context->shard()];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& regions = shard.regions;
-  regions.erase(std::remove(regions.begin(), regions.end(), context),
-                regions.end());
+  std::lock_guard<std::mutex> lock(mutex_);
+  regions_.erase(std::remove(regions_.begin(), regions_.end(), context),
+                 regions_.end());
 }
 
 void ThreadPool::run_region(index_t num_chunks,
                             const std::function<void(index_t)>& fn,
-                            std::chrono::steady_clock::time_point submit_time,
                             std::chrono::steady_clock::time_point deadline) {
   static telemetry::Counter& submitted =
       telemetry::counter("sched.regions_submitted");
@@ -334,32 +245,17 @@ void ThreadPool::run_region(index_t num_chunks,
       telemetry::histogram("sched.region.wall_ns");
   submitted.increment();
 
+  TaskContext context(num_chunks, fn, deadline);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     submit_cv_.wait(lock, [&] { return reconfigure_waiters_ == 0; });
     ++live_regions_;
     ensure_workers_locked();
-  }
-
-  // The shard is fixed for the region's lifetime: a reconfigure cannot start
-  // while this region is counted live, so num_shards() is stable here.
-  const int shard =
-      static_cast<int>(next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<std::uint64_t>(num_shards()));
-  TaskContext context(num_chunks, fn, shard, submit_time, deadline);
-  {
-    std::lock_guard<std::mutex> lock(shards_[shard].mutex);
-    shards_[shard].regions.push_back(&context);
-  }
-  {
-    // Bump the generation only after listing, so a worker that wakes on it
-    // is guaranteed to find the region in its scan.
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++submit_generation_;
+    regions_.push_back(&context);
   }
   worker_cv_.notify_all();
 
-  execute_region_chunks(&context);  // The caller drains alongside the workers.
+  drain(&context);                    // The caller drains alongside the workers.
   assist_while_incomplete(&context);  // Work-conserving wait for the tail.
 
   {
@@ -367,10 +263,10 @@ void ThreadPool::run_region(index_t num_chunks,
     if (--live_regions_ == 0) quiescent_cv_.notify_all();
   }
   // Submit -> fully drained, the per-region latency a service tier would
-  // report.  In serialize mode this includes the gate wait by design.
+  // report.
   region_wall.record_seconds(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    submit_time)
+                                    context.submit_time())
           .count());
   if (std::exception_ptr error = context.exception()) {
     try {
@@ -408,17 +304,7 @@ void ThreadPool::run_chunks(index_t num_chunks,
     }
     return;
   }
-  // Captured before the serialize gate so queue-wait telemetry sees the
-  // queueing the baseline mode exists to measure.
-  const auto submit_time = std::chrono::steady_clock::now();
-  if (serialize_regions()) {
-    // Benchmark baseline: one region at a time, exactly the pre-sharding
-    // scheduler's queueing.
-    std::lock_guard<std::mutex> gate(serialize_mutex_);
-    run_region(num_chunks, fn, submit_time, deadline);
-    return;
-  }
-  run_region(num_chunks, fn, submit_time, deadline);
+  run_region(num_chunks, fn, deadline);
 }
 
 std::chrono::steady_clock::time_point current_deadline() {

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -17,7 +15,7 @@
 
 namespace pyblaz::parallel {
 
-/// Deterministic sharded concurrent-region scheduler.
+/// Deterministic concurrent-region scheduler.
 ///
 /// The paper's whole premise is that blocks are independent, so every hot
 /// loop in the codec, the serializer, and the compressed-space operations is
@@ -38,42 +36,29 @@ namespace pyblaz::parallel {
 ///      share nothing but the workers — concurrent callers can neither
 ///      perturb each other's chunking nor each other's rounding.
 ///
-/// Concurrency model: unlike the original single-job pool — which serialized
-/// every top-level region through one global entry mutex, so two concurrent
-/// user requests queued — N top-level callers submit N regions that run at
-/// once.  A submission lists its TaskContext in one of a small fixed set of
-/// shard queues (round-robin, so submissions contend on different mutexes);
-/// idle workers scan the shards from a per-worker home offset and drain any
-/// claimable region they find.  The submitting caller always drains its own
-/// region alongside the workers, which bounds latency even when every worker
-/// is busy elsewhere: a region never waits for another region to finish.
-/// Waiting callers are work-conserving: while a region's tail chunks finish
-/// on other threads, its caller drains other regions' chunks — rechecking
-/// its own completion between chunks — instead of sleeping, so claimable
-/// work is never stranded behind a blocked or busy worker.
-/// Each concurrent caller therefore adds one executing thread on top of the
-/// shared workers — overlap is the point; the worker count is a parallelism
-/// target, not a hard cap on running threads.
+/// Concurrency model: N top-level callers submit N regions that run at once.
+/// A submission appends its TaskContext to one FIFO region list; idle
+/// workers scan the list and drain the first claimable region they find.
+/// The submitting caller always drains its own region alongside the
+/// workers, which bounds latency even when every worker is busy elsewhere: a
+/// region never waits for another region to finish.  Waiting callers are
+/// work-conserving: while a region's tail chunks finish on other threads,
+/// its caller drains other regions' chunks — rechecking its own completion
+/// between chunks — instead of sleeping, so claimable work is never
+/// stranded behind a blocked or busy worker.  Each concurrent caller
+/// therefore adds one executing thread on top of the shared workers —
+/// overlap is the point; the worker count is a parallelism target, not a
+/// hard cap on running threads.
 ///
 /// The worker count defaults to std::thread::hardware_concurrency() and is
 /// overridden by the CC_THREADS environment variable (checked once, at first
 /// use); tests and benchmarks adjust it at runtime with set_num_threads(),
 /// which waits for all in-flight regions to finish (holding new submissions
-/// at the gate) before resizing.  The shard count is CC_SHARDS /
-/// set_num_shards() with the same quiescence rule.  Nested parallel regions
-/// run inline on the calling worker — the scheduler never deadlocks on
-/// reentry, it just declines to oversubscribe.
-///
-/// CC_SERIALIZE_REGIONS=1 (or set_serialize_regions(true)) restores the old
-/// region-at-a-time queueing — kept as the measurable baseline for the
-/// multi-client overlap benchmarks (bench/multi_client.cpp), never as an
-/// operating mode.
+/// at the gate) before resizing.  Nested parallel regions run inline on the
+/// calling worker — the scheduler never deadlocks on reentry, it just
+/// declines to oversubscribe.
 class ThreadPool {
  public:
-  /// Upper bound on the shard count: queues are statically allocated, and
-  /// past ~one shard per few cores more queues only spread the scan.
-  static constexpr int kMaxShards = 16;
-
   /// The process-wide scheduler.  Workers are spawned lazily on the first
   /// parallel call, so a CC_THREADS=1 process never creates a thread.
   static ThreadPool& instance();
@@ -88,26 +73,9 @@ class ThreadPool {
   /// to complete (new submissions queue at the gate meanwhile), joins the
   /// existing workers, and lets new ones spawn lazily — so a resize racing
   /// concurrent submitters is safe.  n <= 0 restores the CC_THREADS /
-  /// hardware default.  Must not be called from inside a parallel region.
+  /// hardware default.  Throws std::logic_error when called from inside a
+  /// parallel region, whose own in-flight region the resize would wait for.
   void set_num_threads(int n);
-
-  /// Current shard-queue count, in [1, kMaxShards].
-  int num_shards() const { return num_shards_.load(std::memory_order_relaxed); }
-
-  /// Change the shard count at runtime (same quiescence protocol as
-  /// set_num_threads; shard queues are guaranteed empty at the switch).
-  /// n <= 0 restores the CC_SHARDS / default.
-  void set_num_shards(int n);
-
-  /// When true, top-level regions serialize through one gate — the
-  /// pre-sharding scheduler's behavior.  Benchmark baseline only; toggle
-  /// while no regions are in flight.
-  bool serialize_regions() const {
-    return serialize_regions_.load(std::memory_order_relaxed);
-  }
-  void set_serialize_regions(bool on) {
-    serialize_regions_.store(on, std::memory_order_relaxed);
-  }
 
   /// Run fn(chunk) for every chunk in [0, num_chunks), distributed over the
   /// workers plus the calling thread.  Blocks until all chunks finished.
@@ -121,55 +89,40 @@ class ThreadPool {
   ~ThreadPool();
 
   void run_region(index_t num_chunks, const std::function<void(index_t)>& fn,
-                  std::chrono::steady_clock::time_point submit_time,
                   std::chrono::steady_clock::time_point deadline);
   void ensure_workers_locked();
-  void worker_loop(int worker_index);
-  TaskContext* find_work(int start_shard);
-  void execute_region_chunks(TaskContext* context);
-  /// Drain @p context's chunks like execute_region_chunks, but return to the
-  /// waiting caller as soon as @p own's chunks are all finished.  Early
-  /// return leaves @p context listed (still claimable by others); only an
-  /// observed claim overshoot delists it.
-  void drain_foreign_chunks(TaskContext* context, TaskContext* own);
+  void worker_loop();
+  /// The first claimable listed region, with the calling thread registered
+  /// as its drainer; nullptr when there is none.  Requires mutex_.
+  TaskContext* find_work_locked();
+  /// Claim and run @p context's chunks until they are exhausted, then delist
+  /// it.  With @p own set, the caller is a waiter assisting another region:
+  /// it returns as soon as @p own's chunks are all finished, leaving
+  /// @p context listed (still claimable by others).
+  void drain(TaskContext* context, TaskContext* own = nullptr);
   /// Work conservation: instead of sleeping while @p own's tail chunks
   /// finish on other threads, the submitting caller drains other regions'
   /// chunks, rechecking its own completion between chunks.  Returns once
   /// @p own is fully torn down (wait_complete semantics).
   void assist_while_incomplete(TaskContext* own);
   void delist(TaskContext* context);
-  /// Close the submission gate, wait for live regions to drain, and run
-  /// @p reconfigure; joins and restarts workers when @p restart_workers.
-  void reconfigure_quiescent(bool restart_workers,
-                             const std::function<void()>& reconfigure);
 
   std::atomic<int> target_threads_;
-  std::atomic<int> num_shards_;
-  std::atomic<bool> serialize_regions_;
-  std::atomic<std::uint64_t> next_shard_{0};  // Round-robin submission cursor.
 
-  /// One region queue.  Its mutex is taken once per region for listing,
-  /// once per delist, and per worker scan — never per chunk; chunk claiming
-  /// stays lock-free on the region's own counter.
-  struct Shard {
-    std::mutex mutex;
-    std::vector<TaskContext*> regions;
-  };
-  Shard shards_[kMaxShards];
-
-  // Scheduler lifecycle state, all under mutex_.
+  // Scheduler state, all under mutex_.  The region list is locked once per
+  // submission, once per worker scan and once per delist — never per chunk;
+  // chunk claiming stays lock-free on the region's own counter.
   std::mutex mutex_;
   std::condition_variable worker_cv_;     // Workers: new submission or stop.
   std::condition_variable submit_cv_;     // Submitters: reconfigure gate open.
   std::condition_variable quiescent_cv_;  // Reconfigurers: live_regions_ == 0.
+  std::vector<TaskContext*> regions_;     // Listed regions, oldest first.
   std::vector<std::thread> workers_;
   bool stop_ = false;
   int live_regions_ = 0;
   int reconfigure_waiters_ = 0;
-  std::uint64_t submit_generation_ = 0;
 
   std::mutex reconfigure_mutex_;  // Serializes concurrent reconfigurers.
-  std::mutex serialize_mutex_;    // Held across a region in serialize mode.
 };
 
 /// The calling thread's current region deadline (time_point::max() = none).
@@ -210,23 +163,8 @@ inline int num_threads() { return ThreadPool::instance().num_threads(); }
 
 /// Runtime override of the scheduler size (0 restores the CC_THREADS /
 /// hardware default).  Used by tests and benchmarks to compare thread counts
-/// within one process.
+/// within one process; never from inside a parallel region.
 inline void set_num_threads(int n) { ThreadPool::instance().set_num_threads(n); }
-
-/// Shard-queue count of the process-wide scheduler.
-inline int num_shards() { return ThreadPool::instance().num_shards(); }
-
-/// Runtime override of the shard count (0 restores the CC_SHARDS / default).
-inline void set_num_shards(int n) { ThreadPool::instance().set_num_shards(n); }
-
-/// Benchmark-baseline switch: serialize top-level regions like the
-/// pre-sharding scheduler did.
-inline void set_serialize_regions(bool on) {
-  ThreadPool::instance().set_serialize_regions(on);
-}
-inline bool serialize_regions() {
-  return ThreadPool::instance().serialize_regions();
-}
 
 /// Grain for loops whose per-element cost is modest: targets ~64 chunks so
 /// any plausible machine is saturated, with a floor that keeps per-chunk

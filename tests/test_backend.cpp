@@ -47,7 +47,7 @@ struct BackendGuard {
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon})
+  for (Backend b : {Backend::kScalar, Backend::kAvx2})
     if (kernels::backend_available(b)) out.push_back(b);
   return out;
 }
@@ -72,8 +72,10 @@ TEST(BackendDispatch, ParseBackendName) {
   EXPECT_FALSE(bad);
   EXPECT_EQ(kernels::parse_backend_name("avx2", &bad), Backend::kAvx2);
   EXPECT_FALSE(bad);
-  EXPECT_EQ(kernels::parse_backend_name("neon", &bad), Backend::kNeon);
-  EXPECT_FALSE(bad);
+  // No NEON backend ships: "neon" is an unknown value like any other.
+  EXPECT_EQ(kernels::parse_backend_name("neon", &bad), Backend::kScalar);
+  EXPECT_TRUE(bad);
+  bad = false;
   EXPECT_EQ(kernels::parse_backend_name("sse9000", &bad), Backend::kScalar);
   EXPECT_TRUE(bad);
   bad = false;
@@ -82,7 +84,7 @@ TEST(BackendDispatch, ParseBackendName) {
 }
 
 TEST(BackendDispatch, NamesRoundTrip) {
-  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
     bool bad = true;
     EXPECT_EQ(kernels::parse_backend_name(kernels::backend_name(b), &bad), b);
     EXPECT_FALSE(bad);
@@ -100,7 +102,7 @@ TEST(BackendDispatch, ScalarAlwaysAvailable) {
 TEST(BackendDispatch, SetUnavailableBackendFailsAndChangesNothing) {
   BackendGuard guard;
   const Backend before = kernels::active_backend();
-  for (Backend b : {Backend::kAvx2, Backend::kNeon}) {
+  for (Backend b : {Backend::kAvx2}) {
     if (kernels::backend_available(b)) continue;
     EXPECT_FALSE(kernels::set_backend(b));
     EXPECT_EQ(kernels::active_backend(), before);
@@ -126,7 +128,6 @@ TEST(BackendDispatch, StartupRespectsEnvironmentPolicy) {
   if (env == nullptr) {
     Backend best = Backend::kScalar;
     if (kernels::backend_available(Backend::kAvx2)) best = Backend::kAvx2;
-    if (kernels::backend_available(Backend::kNeon)) best = Backend::kNeon;
     EXPECT_EQ(startup, best);
     return;
   }
@@ -148,9 +149,6 @@ TEST(BackendDispatch, EverySlotOfEveryTableIsPopulated) {
         break;
       case Backend::kAvx2:
         table = kernels::internal::avx2_table();
-        break;
-      case Backend::kNeon:
-        table = kernels::internal::neon_table();
         break;
     }
     ASSERT_NE(table, nullptr) << kernels::backend_name(b);
@@ -174,8 +172,6 @@ class BackendBitIdentity : public ::testing::TestWithParam<Backend> {
     switch (GetParam()) {
       case Backend::kAvx2:
         return *kernels::internal::avx2_table();
-      case Backend::kNeon:
-        return *kernels::internal::neon_table();
       case Backend::kScalar:
         break;
     }

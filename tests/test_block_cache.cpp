@@ -24,11 +24,7 @@ struct FaultGuard {
 };
 
 struct SchedulerGuard {
-  ~SchedulerGuard() {
-    parallel::set_serialize_regions(false);
-    parallel::set_num_threads(0);
-    parallel::set_num_shards(0);
-  }
+  ~SchedulerGuard() { parallel::set_num_threads(0); }
 };
 
 /// Restores the process-wide default cache capacity (tests run in one
@@ -406,10 +402,10 @@ TEST(WriteBack, DirtyArchiveGuards) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: capacity / threads / shards never change a single bit.
+// Determinism: capacity / threads never change a single bit.
 // ---------------------------------------------------------------------------
 
-TEST(CacheDeterminism, BitIdenticalAcrossCapacityThreadsShards) {
+TEST(CacheDeterminism, BitIdenticalAcrossCapacityAndThreads) {
   CacheCapacityGuard capacity_guard;
   SchedulerGuard scheduler_guard;
   Compressor compressor({.block_shape = Shape{4, 4},
@@ -435,18 +431,14 @@ TEST(CacheDeterminism, BitIdenticalAcrossCapacityThreadsShards) {
 
   for (index_t capacity : {index_t{0}, index_t{1}, index_t{3}, index_t{64}}) {
     for (int threads : {1, 4}) {
-      for (int shards : {1, 4}) {
-        cache::set_default_capacity(capacity);
-        parallel::set_num_threads(threads);
-        parallel::set_num_shards(shards);
-        const CompressedArray fresh = compressed;
-        const std::vector<double> got = read_everything(fresh);
-        ASSERT_EQ(got.size(), baseline.size());
-        EXPECT_EQ(0, std::memcmp(got.data(), baseline.data(),
-                                 got.size() * sizeof(double)))
-            << "capacity " << capacity << " threads " << threads << " shards "
-            << shards;
-      }
+      cache::set_default_capacity(capacity);
+      parallel::set_num_threads(threads);
+      const CompressedArray fresh = compressed;
+      const std::vector<double> got = read_everything(fresh);
+      ASSERT_EQ(got.size(), baseline.size());
+      EXPECT_EQ(0, std::memcmp(got.data(), baseline.data(),
+                               got.size() * sizeof(double)))
+          << "capacity " << capacity << " threads " << threads;
     }
   }
 }

@@ -38,13 +38,9 @@ struct FaultGuard {
   ~FaultGuard() { fault::disarm_all(); }
 };
 
-/// Restores the default thread/shard counts and concurrency mode.
+/// Restores the default thread count.
 struct SchedulerGuard {
-  ~SchedulerGuard() {
-    parallel::set_serialize_regions(false);
-    parallel::set_num_threads(0);
-    parallel::set_num_shards(0);
-  }
+  ~SchedulerGuard() { parallel::set_num_threads(0); }
 };
 
 CompressedArray small_archive_source() {

@@ -3,7 +3,7 @@
 /// pass — each distinct operand's bin row decoded once per block through
 /// kernels::decode_lincomb_multi — and every output must be bit-identical to
 /// evaluating its expression alone, across shapes, dtypes, arities, thread
-/// counts, shard counts, kernel backends, and cache capacities.  Also pins
+/// counts, kernel backends, and cache capacities.  Also pins
 /// the operand-dedup accounting (telemetry counters), the K-rebins-per-batch
 /// contract, the sequential fallback, and clean behavior around the
 /// cache.fill.alloc fault site.
@@ -110,10 +110,7 @@ struct AcceptanceBatch {
 };
 
 struct ParallelGuard {
-  ~ParallelGuard() {
-    parallel::set_num_threads(0);
-    parallel::set_num_shards(0);
-  }
+  ~ParallelGuard() { parallel::set_num_threads(0); }
 };
 
 struct BackendGuard {
@@ -189,26 +186,21 @@ TEST(LincombBatch, BatchMatchesSequentialAcrossAritiesAndBias) {
   expect_batch_matches(requests, "mixed arity");
 }
 
-TEST(LincombBatch, BatchMatchesSequentialAcrossThreadsAndShards) {
+TEST(LincombBatch, BatchMatchesSequentialAcrossThreads) {
   ParallelGuard guard;
   AcceptanceBatch batch(settings_for(Shape{8, 8}), Shape{48, 40}, 11);
   parallel::set_num_threads(1);
-  parallel::set_num_shards(1);
   const std::vector<CompressedArray> reference =
       sequential_eval(batch.requests);
   for (int threads : {1, 4}) {
-    for (int shards : {1, 8}) {
-      parallel::set_num_threads(threads);
-      parallel::set_num_shards(shards);
-      const std::vector<CompressedArray> batched =
-          ops::lincomb_batch(batch.requests);
-      ASSERT_EQ(batched.size(), reference.size());
-      for (std::size_t k = 0; k < reference.size(); ++k)
-        expect_bit_identical(batched[k], reference[k],
-                             "threads=" + std::to_string(threads) +
-                                 " shards=" + std::to_string(shards) +
-                                 " output " + std::to_string(k));
-    }
+    parallel::set_num_threads(threads);
+    const std::vector<CompressedArray> batched =
+        ops::lincomb_batch(batch.requests);
+    ASSERT_EQ(batched.size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k)
+      expect_bit_identical(batched[k], reference[k],
+                           "threads=" + std::to_string(threads) + " output " +
+                               std::to_string(k));
   }
 }
 
@@ -218,7 +210,7 @@ TEST(LincombBatch, BatchBitIdenticalAcrossBackends) {
   ASSERT_TRUE(kernels::set_backend(Backend::kScalar));
   const std::vector<CompressedArray> reference =
       sequential_eval(batch.requests);
-  for (Backend backend : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+  for (Backend backend : {Backend::kScalar, Backend::kAvx2}) {
     if (!kernels::backend_available(backend)) continue;
     ASSERT_TRUE(kernels::set_backend(backend));
     const std::vector<CompressedArray> batched =

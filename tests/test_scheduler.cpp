@@ -1,17 +1,17 @@
-/// The concurrency contract of the sharded concurrent-region scheduler
+/// The concurrency contract of the concurrent-region scheduler
 /// (src/core/parallel/): independent top-level parallel regions overlap
 /// instead of queueing, and overlapping changes NOTHING about the results —
 /// archives stay byte-identical and operation results bit-identical to
-/// sequential runs, at any thread count, any shard count, and any number of
-/// concurrent callers.  Chunk boundaries and the chunk -> work mapping are a
+/// sequential runs, at any thread count and any number of concurrent
+/// callers.  Chunk boundaries and the chunk -> work mapping are a
 /// pure function of range and grain, each region claims from its own
 /// TaskContext counter, and regions share nothing but the workers; the tests
 /// here drive real concurrent clients through every layer (codec, ops,
 /// serializer) and compare bitwise against sequential references.
 ///
-/// Also covered: the quiescence protocol (set_num_threads / set_num_shards
-/// racing in-flight submitters), per-region exception isolation, the
-/// serialized-baseline mode, and the frame-scoped coefficient workspace.
+/// Also covered: the quiescence protocol (set_num_threads racing in-flight
+/// submitters, and refused from inside a region), per-region exception
+/// isolation, and the frame-scoped coefficient workspace.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -36,14 +37,9 @@
 namespace pyblaz {
 namespace {
 
-/// Restores the default thread/shard counts and concurrency mode when a test
-/// exits, pass or fail.
+/// Restores the default thread count when a test exits, pass or fail.
 struct SchedulerGuard {
-  ~SchedulerGuard() {
-    parallel::set_serialize_regions(false);
-    parallel::set_num_threads(0);
-    parallel::set_num_shards(0);
-  }
+  ~SchedulerGuard() { parallel::set_num_threads(0); }
 };
 
 CompressorSettings test_settings() {
@@ -55,58 +51,39 @@ CompressorSettings test_settings() {
   return settings;
 }
 
-TEST(Scheduler, ShardKnobClampsAndRestores) {
-  SchedulerGuard guard;
-  const int default_shards = parallel::num_shards();
-  EXPECT_GE(default_shards, 1);
-  EXPECT_LE(default_shards, parallel::ThreadPool::kMaxShards);
-  parallel::set_num_shards(3);
-  EXPECT_EQ(parallel::num_shards(), 3);
-  parallel::set_num_shards(10'000);
-  EXPECT_EQ(parallel::num_shards(), parallel::ThreadPool::kMaxShards);
-  parallel::set_num_shards(0);
-  EXPECT_EQ(parallel::num_shards(), default_shards);
-}
-
 TEST(Scheduler, ConcurrentRegionsCoverEveryChunkExactlyOnce) {
   SchedulerGuard guard;
   constexpr int kClients = 4;
   constexpr int kRegionsPerClient = 20;
   constexpr index_t kRange = 257;
-  for (int shards : {1, 2, 8}) {
-    parallel::set_num_shards(shards);
-    parallel::set_num_threads(4);
-    std::vector<std::vector<std::atomic<int>>> hits(kClients);
-    for (auto& h : hits) {
-      h = std::vector<std::atomic<int>>(kRange);
-      for (auto& cell : h) cell.store(0);
-    }
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (int r = 0; r < kRegionsPerClient; ++r) {
-          parallel::parallel_for(0, kRange, 16,
-                                 [&](index_t begin, index_t end) {
-                                   for (index_t k = begin; k < end; ++k)
-                                     hits[c][static_cast<std::size_t>(k)]++;
-                                 });
-        }
-      });
-    }
-    for (auto& t : clients) t.join();
-    for (int c = 0; c < kClients; ++c)
-      for (index_t k = 0; k < kRange; ++k)
-        ASSERT_EQ(hits[c][static_cast<std::size_t>(k)].load(),
-                  kRegionsPerClient)
-            << "client " << c << " index " << k << " shards " << shards;
+  parallel::set_num_threads(4);
+  std::vector<std::vector<std::atomic<int>>> hits(kClients);
+  for (auto& h : hits) {
+    h = std::vector<std::atomic<int>>(kRange);
+    for (auto& cell : h) cell.store(0);
   }
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRegionsPerClient; ++r) {
+        parallel::parallel_for(0, kRange, 16, [&](index_t begin, index_t end) {
+          for (index_t k = begin; k < end; ++k)
+            hits[c][static_cast<std::size_t>(k)]++;
+        });
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c)
+    for (index_t k = 0; k < kRange; ++k)
+      ASSERT_EQ(hits[c][static_cast<std::size_t>(k)].load(), kRegionsPerClient)
+          << "client " << c << " index " << k;
 }
 
 /// The tentpole determinism property: M clients concurrently compressing,
 /// combining (ops::lincomb via the expression front end), serializing, and
 /// decompressing their own arrays produce exactly the bytes and bits the
-/// sequential run produces — across thread counts, shard counts, and the
-/// serialized-baseline mode.
+/// sequential run produces, at every thread count.
 TEST(Scheduler, ConcurrentClientsBitIdenticalToSequential) {
   SchedulerGuard guard;
   constexpr int kClients = 3;
@@ -141,26 +118,19 @@ TEST(Scheduler, ConcurrentClientsBitIdenticalToSequential) {
   std::vector<ClientResult> reference;
   for (int c = 0; c < kClients; ++c) reference.push_back(session(c));
 
-  for (bool serialized : {false, true}) {
-    parallel::set_serialize_regions(serialized);
-    for (int threads : {1, 4}) {
-      for (int shards : {1, 4, 8}) {
-        parallel::set_num_threads(threads);
-        parallel::set_num_shards(shards);
-        for (int round = 0; round < kRounds; ++round) {
-          std::vector<ClientResult> results(kClients);
-          std::vector<std::thread> clients;
-          for (int c = 0; c < kClients; ++c)
-            clients.emplace_back([&, c] { results[c] = session(c); });
-          for (auto& t : clients) t.join();
-          for (int c = 0; c < kClients; ++c) {
-            ASSERT_EQ(results[c].archive, reference[c].archive)
-                << "client " << c << " archive differs at threads=" << threads
-                << " shards=" << shards << " serialized=" << serialized;
-            ASSERT_EQ(results[c].mixed, reference[c].mixed);
-            ASSERT_EQ(results[c].dot, reference[c].dot);
-          }
-        }
+  for (int threads : {1, 4}) {
+    parallel::set_num_threads(threads);
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<ClientResult> results(kClients);
+      std::vector<std::thread> clients;
+      for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] { results[c] = session(c); });
+      for (auto& t : clients) t.join();
+      for (int c = 0; c < kClients; ++c) {
+        ASSERT_EQ(results[c].archive, reference[c].archive)
+            << "client " << c << " archive differs at threads=" << threads;
+        ASSERT_EQ(results[c].mixed, reference[c].mixed);
+        ASSERT_EQ(results[c].dot, reference[c].dot);
       }
     }
   }
@@ -205,10 +175,8 @@ TEST(Scheduler, ExceptionsStayWithinTheirRegion) {
   EXPECT_EQ(total.load(), 100);
 }
 
-/// The set_num_threads quiescence fix: resizing while other threads are
-/// mid-submission must neither crash, deadlock, nor lose chunks.  (The
-/// pre-sharding pool left this unguarded — resize joined workers while a
-/// concurrent submitter could still be entering a job.)
+/// The set_num_threads quiescence rule: resizing while other threads are
+/// mid-submission must neither crash, deadlock, nor lose chunks.
 TEST(Scheduler, ResizeWaitsForInFlightRegions) {
   SchedulerGuard guard;
   parallel::set_num_threads(4);
@@ -235,16 +203,35 @@ TEST(Scheduler, ResizeWaitsForInFlightRegions) {
   // flight (on a single-core host the resizes could otherwise win every
   // race and never actually contend).
   while (started.load() < kSubmitters) std::this_thread::yield();
-  // Hammer resizes (and shard changes) against the in-flight submitters.
-  for (int r = 0; r < 12; ++r) {
-    parallel::set_num_threads(1 + r % 4);
-    parallel::set_num_shards(1 + r % 3);
-  }
+  // Hammer resizes against the in-flight submitters.
+  for (int r = 0; r < 12; ++r) parallel::set_num_threads(1 + r % 4);
   done.store(true);
   for (auto& t : submitters) t.join();
   // Coverage is exact: every region contributes exactly 128.
   EXPECT_EQ(executed.load() % 128, 0);
   EXPECT_GE(executed.load(), kSubmitters * 128);
+}
+
+/// A resize from inside a region would wait for its own region to drain, so
+/// it is refused with std::logic_error — on the pool path and on the inline
+/// (1-thread) path alike — and the pool stays usable afterwards.
+TEST(Scheduler, ResizeInsideRegionThrows) {
+  SchedulerGuard guard;
+  for (int threads : {4, 1}) {
+    parallel::set_num_threads(threads);
+    EXPECT_THROW(parallel::parallel_for(0, 64, 1,
+                                        [](index_t, index_t) {
+                                          parallel::set_num_threads(2);
+                                        }),
+                 std::logic_error)
+        << "threads=" << threads;
+    EXPECT_EQ(parallel::num_threads(), threads);
+    std::atomic<int> total{0};
+    parallel::parallel_for(0, 64, 1, [&](index_t begin, index_t end) {
+      total += static_cast<int>(end - begin);
+    });
+    EXPECT_EQ(total.load(), 64) << "threads=" << threads;
+  }
 }
 
 /// Concurrent resizers must also serialize cleanly among themselves.
@@ -277,7 +264,6 @@ TEST(Scheduler, ConcurrentResizersDoNotDeadlock) {
 TEST(Scheduler, WaitingCallerDrainsOtherRegionsChunks) {
   SchedulerGuard guard;
   parallel::set_num_threads(2);  // One shared worker + the callers.
-  parallel::set_num_shards(1);
 
   std::mutex m;
   std::condition_variable cv;
