@@ -547,9 +547,8 @@ void bench_threaded_codec(Harness& harness) {
   parallel::set_num_threads(0);  // Restore the CC_THREADS / hardware default.
 }
 
-/// Per-backend kernel series: the tentpole kernels (decode_lincomb,
-/// rebin/unbin, the factorized Lee DCT) timed through each compiled-in
-/// backend's dispatch table.  Bit identity is enforced by the test suite;
+/// Per-backend kernel series: the rebin-family kernels (decode_lincomb,
+/// rebin/unbin) timed through each compiled-in backend's dispatch table.  Bit identity is enforced by the test suite;
 /// this series exists to keep the *speed* claim measured — the JSON records
 /// speedup_over_scalar per entry and main() warns when a SIMD backend comes
 /// out slower than scalar (warn-only: shared CI boxes are too noisy to gate
@@ -579,15 +578,6 @@ void bench_backends(Harness& harness) {
   const double weights[4] = {1.0, -0.5, 0.25, 0.125};
   std::vector<double> decoded(static_cast<std::size_t>(num_blocks * kept));
 
-  // One 32-point DCT axis over a 16x32x32 volume — the leading-axis shape of
-  // a 32x32 block sweep, and a shape inside the AVX2 table's intrinsic gate
-  // (inner >= 4, n >= 32; smaller shapes route to the scalar recursion).
-  const index_t dct_n = 32, dct_outer = 16, dct_inner = 32;
-  const index_t dct_volume = dct_outer * dct_n * dct_inner;
-  NDArray<double> dct_noise = random_normal(Shape{dct_volume}, rng);
-  std::vector<double> dct_data = dct_noise.vector();
-  std::vector<double> dct_tmp(static_cast<std::size_t>(dct_volume));
-
   for (kernels::Backend backend :
        {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
     if (!kernels::backend_available(backend)) continue;
@@ -613,12 +603,6 @@ void bench_backends(Harness& harness) {
             kept, biggest[static_cast<std::size_t>(kb)] / r,
             decoded.data() + kb * kept);
     });
-    harness.run_backend("dct_axis32", impl, Shape{dct_outer, dct_n, dct_inner},
-                        static_cast<double>(dct_volume), [&] {
-                          table.dct_axis(dct_data.data(), dct_tmp.data(),
-                                         dct_n, dct_outer, dct_inner,
-                                         /*forward=*/true);
-                        });
   }
   kernels::set_backend(saved);
 }
@@ -692,12 +676,6 @@ int main(int argc, char** argv) {
   // root never clobbers the committed BENCH_kernels.json baseline; pass the
   // path explicitly when refreshing the baseline itself.
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.local.json";
-
-  // Pin the host-independent dispatch policy: the autotune probe can flip
-  // borderline sizes between hosts (or under load), which would change which
-  // (name, impl) entries exist run to run and break baseline comparison.
-  // The kAuto-vs-kDense timings below measure the kernels, not the policy.
-  kernels::set_fast_axis_policy(kernels::FastAxisPolicy::kFixed);
 
   Harness harness;
   bench_transforms(harness);

@@ -37,7 +37,6 @@
 
 #include "core/codec/compressor.hpp"
 #include "core/codec/serialization.hpp"
-#include "core/kernels/fast_transform.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
@@ -292,10 +291,6 @@ int main(int argc, char** argv) {
     else
       out_path = argv[a];
   }
-
-  // Pin dispatch like bench_micro_kernels: the entries must not depend on
-  // the probing host.
-  kernels::set_fast_axis_policy(kernels::FastAxisPolicy::kFixed);
 
   BenchConfig config;
   if (smoke) {

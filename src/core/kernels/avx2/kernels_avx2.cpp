@@ -1,8 +1,8 @@
 /// AVX2 kernel backend.
 ///
-/// Every kernel here must reproduce the scalar oracle in rebin.hpp /
-/// fast_transform.cpp *bit for bit* (see docs/PERF.md, "SIMD backends").
-/// The rules that make that possible:
+/// Every kernel here must reproduce the scalar oracle in rebin.hpp *bit for
+/// bit* (see docs/PERF.md, "SIMD backends").  The rules that make that
+/// possible:
 ///
 ///  - No FMA, ever: the project builds with -ffp-contract=off and the scalar
 ///    kernels round after every multiply and add, so each SIMD kernel uses
@@ -37,13 +37,10 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/kernels/fast_transform.hpp"
 #include "core/kernels/rebin.hpp"
 
 namespace pyblaz::kernels {
 namespace {
-
-constexpr double kInvSqrt2 = 0.70710678118654752440084436210485;
 
 inline __m256d abs_pd(__m256d v) {
   const __m256d mask =
@@ -327,289 +324,6 @@ void decode_lincomb_multi_avx2(const BinT* const* rows, index_t num_rows,
   }
 }
 
-// --- family 3: dense one-axis transform ------------------------------------
-
-void dense_transform_axis_avx2(const double* src, double* dst,
-                               const double* h, index_t n, index_t outer,
-                               index_t inner, bool forward) {
-  if (n == 1) {
-    std::copy(src, src + outer * inner, dst);
-    return;
-  }
-  if (inner == 1) {
-    for (index_t o = 0; o < outer; ++o) {
-      const double* line = src + o * n;
-      double* out = dst + o * n;
-      if (forward) {
-        // Saxpy with contiguous matrix rows; out[k2] updates are independent
-        // across k2, so vectorizing across outputs preserves each output's
-        // k-ordered accumulation.
-        std::fill(out, out + n, 0.0);
-        for (index_t k = 0; k < n; ++k) {
-          const double v = line[k];
-          const __m256d vv = _mm256_set1_pd(v);
-          const double* hrow = h + k * n;
-          index_t k2 = 0;
-          for (; k2 + 4 <= n; k2 += 4)
-            _mm256_storeu_pd(
-                out + k2,
-                _mm256_add_pd(_mm256_loadu_pd(out + k2),
-                              _mm256_mul_pd(vv, _mm256_loadu_pd(hrow + k2))));
-          for (; k2 < n; ++k2) out[k2] += v * hrow[k2];
-        }
-      } else {
-        // Four output dot products side by side, k strictly ascending, so
-        // every output's add sequence matches the scalar dot exactly.
-        index_t k2 = 0;
-        for (; k2 + 4 <= n; k2 += 4) {
-          __m256d total = _mm256_setzero_pd();
-          for (index_t k = 0; k < n; ++k) {
-            const __m256d col =
-                _mm256_set_pd(h[(k2 + 3) * n + k], h[(k2 + 2) * n + k],
-                              h[(k2 + 1) * n + k], h[(k2 + 0) * n + k]);
-            total = _mm256_add_pd(
-                total, _mm256_mul_pd(_mm256_set1_pd(line[k]), col));
-          }
-          _mm256_storeu_pd(out + k2, total);
-        }
-        for (; k2 < n; ++k2) {
-          const double* hrow = h + k2 * n;
-          double total = 0.0;
-          for (index_t k = 0; k < n; ++k) total += line[k] * hrow[k];
-          out[k2] = total;
-        }
-      }
-    }
-  } else {
-    for (index_t o = 0; o < outer; ++o) {
-      const double* base = src + o * n * inner;
-      double* sbase = dst + o * n * inner;
-      std::fill(sbase, sbase + n * inner, 0.0);
-      for (index_t k = 0; k < n; ++k) {
-        const double* line = base + k * inner;
-        for (index_t k2 = 0; k2 < n; ++k2) {
-          const double w = forward ? h[k * n + k2] : h[k2 * n + k];
-          const __m256d vw = _mm256_set1_pd(w);
-          double* out = sbase + k2 * inner;
-          index_t in = 0;
-          for (; in + 4 <= inner; in += 4)
-            _mm256_storeu_pd(
-                out + in,
-                _mm256_add_pd(_mm256_loadu_pd(out + in),
-                              _mm256_mul_pd(vw, _mm256_loadu_pd(line + in))));
-          for (; in < inner; ++in) out[in] += w * line[in];
-        }
-      }
-    }
-  }
-}
-
-// --- family 3: Lee DCT butterflies -----------------------------------------
-
-/// Lee's forward recursion, mirroring fast_transform.cpp's lee_forward pass
-/// for pass, vectorized across the inner dimension like the scalar kernel's
-/// omp simd loops.  Only instantiated for the shapes where this measurably
-/// beats the scalar recursion (see dct_axis_avx2's gate): an across-p
-/// variant for inner == 1 was measured at 0.3-0.5x scalar — the reversed
-/// loads and even/odd interleaves cost more than the arithmetic they feed —
-/// and removed.
-template <index_t M, bool kScaled>
-void lee_forward_avx2(double* __restrict x, double* __restrict tmp,
-                      index_t inner, double scale, double dc_scale) {
-  if constexpr (M == 1) {
-    (void)x;
-    (void)tmp;
-    (void)inner;
-    (void)scale;
-    (void)dc_scale;
-  } else {
-    constexpr index_t kHalf = M / 2;
-    static const double* const sec = dct_secant_table(M);
-    {
-      for (index_t p = 0; p < kHalf; ++p) {
-        const double* __restrict xa = x + p * inner;
-        const double* __restrict xb = x + (M - 1 - p) * inner;
-        double* __restrict g = tmp + p * inner;
-        double* __restrict hh = tmp + (kHalf + p) * inner;
-        const double s = sec[p];
-        const __m256d vs = _mm256_set1_pd(s);
-        index_t i = 0;
-        for (; i + 4 <= inner; i += 4) {
-          const __m256d a = _mm256_loadu_pd(xa + i);
-          const __m256d b = _mm256_loadu_pd(xb + i);
-          _mm256_storeu_pd(g + i, _mm256_add_pd(a, b));
-          _mm256_storeu_pd(hh + i, _mm256_mul_pd(_mm256_sub_pd(a, b), vs));
-        }
-        for (; i < inner; ++i) {
-          g[i] = xa[i] + xb[i];
-          hh[i] = (xa[i] - xb[i]) * s;
-        }
-      }
-    }
-    lee_forward_avx2<kHalf, false>(tmp, x, inner, 1.0, 1.0);
-    lee_forward_avx2<kHalf, false>(tmp + kHalf * inner, x + kHalf * inner,
-                                   inner, 1.0, 1.0);
-    // Interleave: even outputs from G, odd outputs H[k] + H[k+1].
-    {
-      for (index_t k = 0; k < kHalf; ++k) {
-        const double* __restrict gk = tmp + k * inner;
-        const double* __restrict hk = tmp + (kHalf + k) * inner;
-        double* __restrict xe = x + (2 * k) * inner;
-        double* __restrict xo = x + (2 * k + 1) * inner;
-        const double fe = kScaled ? (k == 0 ? dc_scale : scale) : 1.0;
-        const __m256d vfe = _mm256_set1_pd(fe);
-        const __m256d vscale = _mm256_set1_pd(scale);
-        const bool has_next = k + 1 < kHalf;
-        const double* __restrict hk1 = has_next ? hk + inner : nullptr;
-        index_t i = 0;
-        for (; i + 4 <= inner; i += 4) {
-          const __m256d g = _mm256_loadu_pd(gk + i);
-          const __m256d hv = _mm256_loadu_pd(hk + i);
-          const __m256d ho =
-              has_next ? _mm256_add_pd(hv, _mm256_loadu_pd(hk1 + i)) : hv;
-          if constexpr (kScaled) {
-            _mm256_storeu_pd(xe + i, _mm256_mul_pd(g, vfe));
-            _mm256_storeu_pd(xo + i, _mm256_mul_pd(ho, vscale));
-          } else {
-            _mm256_storeu_pd(xe + i, g);
-            _mm256_storeu_pd(xo + i, ho);
-          }
-        }
-        for (; i < inner; ++i) {
-          const double ho = has_next ? hk[i] + hk1[i] : hk[i];
-          if constexpr (kScaled) {
-            xe[i] = gk[i] * fe;
-            xo[i] = ho * scale;
-          } else {
-            xe[i] = gk[i];
-            xo[i] = ho;
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Transpose of lee_forward_avx2, mirroring the scalar lee_inverse.
-template <index_t M, bool kScaled>
-void lee_inverse_avx2(double* __restrict x, double* __restrict tmp,
-                      index_t inner, double scale, double dc_scale) {
-  if constexpr (M == 1) {
-    (void)x;
-    (void)tmp;
-    (void)inner;
-    (void)scale;
-    (void)dc_scale;
-  } else {
-    constexpr index_t kHalf = M / 2;
-    static const double* const sec = dct_secant_table(M);
-    // Deinterleave: G'[k] = c[2k], H'[k] = c[2k+1] + c[2k-1] (c[-1] = 0).
-    {
-      for (index_t k = 0; k < kHalf; ++k) {
-        const double* __restrict xe = x + (2 * k) * inner;
-        const double* __restrict xo = x + (2 * k + 1) * inner;
-        double* __restrict g = tmp + k * inner;
-        double* __restrict hh = tmp + (kHalf + k) * inner;
-        const double* __restrict xo_prev = k > 0 ? xo - 2 * inner : nullptr;
-        const double ge = kScaled ? (k == 0 ? dc_scale : scale) : 1.0;
-        const __m256d vge = _mm256_set1_pd(ge);
-        const __m256d vscale = _mm256_set1_pd(scale);
-        index_t i = 0;
-        for (; i + 4 <= inner; i += 4) {
-          const __m256d e = _mm256_loadu_pd(xe + i);
-          const __m256d o = _mm256_loadu_pd(xo + i);
-          const __m256d hsum =
-              k > 0 ? _mm256_add_pd(o, _mm256_loadu_pd(xo_prev + i)) : o;
-          if constexpr (kScaled) {
-            _mm256_storeu_pd(g + i, _mm256_mul_pd(e, vge));
-            _mm256_storeu_pd(hh + i, _mm256_mul_pd(hsum, vscale));
-          } else {
-            _mm256_storeu_pd(g + i, e);
-            _mm256_storeu_pd(hh + i, hsum);
-          }
-        }
-        for (; i < inner; ++i) {
-          const double hsum = k > 0 ? xo[i] + xo_prev[i] : xo[i];
-          if constexpr (kScaled) {
-            g[i] = xe[i] * ge;
-            hh[i] = hsum * scale;
-          } else {
-            g[i] = xe[i];
-            hh[i] = hsum;
-          }
-        }
-      }
-    }
-    lee_inverse_avx2<kHalf, false>(tmp, x, inner, 1.0, 1.0);
-    lee_inverse_avx2<kHalf, false>(tmp + kHalf * inner, x + kHalf * inner,
-                                   inner, 1.0, 1.0);
-    // Butterfly: x[p] = g[p] + sec[p] h[p], x[M-1-p] = g[p] - sec[p] h[p].
-    {
-      for (index_t p = 0; p < kHalf; ++p) {
-        const double* __restrict g = tmp + p * inner;
-        const double* __restrict hh = tmp + (kHalf + p) * inner;
-        double* __restrict xa = x + p * inner;
-        double* __restrict xb = x + (M - 1 - p) * inner;
-        const double s = sec[p];
-        const __m256d vs = _mm256_set1_pd(s);
-        index_t i = 0;
-        for (; i + 4 <= inner; i += 4) {
-          const __m256d t = _mm256_mul_pd(vs, _mm256_loadu_pd(hh + i));
-          const __m256d gv = _mm256_loadu_pd(g + i);
-          _mm256_storeu_pd(xa + i, _mm256_add_pd(gv, t));
-          _mm256_storeu_pd(xb + i, _mm256_sub_pd(gv, t));
-        }
-        for (; i < inner; ++i) {
-          const double t = s * hh[i];
-          xa[i] = g[i] + t;
-          xb[i] = g[i] - t;
-        }
-      }
-    }
-  }
-}
-
-template <index_t M>
-void dct_panels_avx2(double* data, double* tmp, index_t outer, index_t inner,
-                     bool forward) {
-  const double scale = std::sqrt(2.0 / static_cast<double>(M));
-  const double dc_scale = scale * kInvSqrt2;
-  const index_t panel = M * inner;
-  if (forward) {
-    for (index_t o = 0; o < outer; ++o, data += panel)
-      lee_forward_avx2<M, true>(data, tmp, inner, scale, dc_scale);
-  } else {
-    for (index_t o = 0; o < outer; ++o, data += panel)
-      lee_inverse_avx2<M, true>(data, tmp, inner, scale, dc_scale);
-  }
-}
-
-void dct_axis_avx2(double* data, double* tmp, index_t n, index_t outer,
-                   index_t inner, bool forward) {
-  // The intrinsic panels only pay where the across-inner loops run full
-  // vectors and the recursion is deep enough to amortize per-panel setup:
-  // measured against the scalar Lee recursion (generic -march build, see
-  // docs/PERF.md), inner >= 4 with n >= 32 wins 1.3-1.5x while every other
-  // shape is at or below parity.  Everything else takes the scalar path —
-  // same algorithm, same bits, no cost to being honest about it.
-  if (inner >= 4 && n >= 32) {
-    switch (n) {
-      case 32:
-        dct_panels_avx2<32>(data, tmp, outer, inner, forward);
-        return;
-      case 64:
-        dct_panels_avx2<64>(data, tmp, outer, inner, forward);
-        return;
-      case 128:
-        dct_panels_avx2<128>(data, tmp, outer, inner, forward);
-        return;
-      default:
-        break;
-    }
-  }
-  dct_fast_axis(data, tmp, n, outer, inner, forward);
-}
-
 // --- table ------------------------------------------------------------------
 
 /// int64 bins stay scalar (see file comment); address-taking wrappers over
@@ -655,9 +369,6 @@ const KernelTable* avx2_table() {
       avx2_bin_kernels<std::int32_t>(),
       {&quantize_bins_i64, &unbin_block_i64, &decode_lincomb_i64,
        &decode_lincomb_multi_i64},
-      &dense_transform_axis_avx2,
-      &dct_axis_avx2,
-      &huffman_decode_run_generic,
   };
   return &table;
 }

@@ -7,7 +7,6 @@
 
 #include "core/fault/fault.hpp"
 #include "core/kernels/backend_tables.hpp"
-#include "core/kernels/fast_transform.hpp"
 #include "core/kernels/rebin.hpp"
 #include "core/telemetry/telemetry.hpp"
 
@@ -159,43 +158,8 @@ const KernelTable& scalar_table() {
       scalar_bin_kernels<std::int16_t>(),
       scalar_bin_kernels<std::int32_t>(),
       scalar_bin_kernels<std::int64_t>(),
-      &dense_transform_axis,
-      &dct_fast_axis,
-      &huffman_decode_run_generic,
   };
   return table;
-}
-
-index_t huffman_decode_run_generic(const HuffmanLut2Entry* lut,
-                                   BitReader& reader, std::int32_t* out,
-                                   index_t count, std::int32_t stop_symbol) {
-  index_t decoded = 0;
-  while (decoded < count) {
-    const std::size_t start = reader.position();
-    const auto window =
-        static_cast<std::size_t>(reader.get_bits(kHuffmanLutBits));
-    const HuffmanLut2Entry& entry = lut[window];
-    if (entry.nsyms == 0) {
-      // First code longer than the LUT window: rewind so the caller can run
-      // the bit-serial decoder for exactly one symbol and resume.
-      reader.seek(start);
-      break;
-    }
-    out[decoded++] = entry.sym0;
-    if (entry.sym0 == stop_symbol) {
-      reader.seek(start + entry.len0);
-      break;
-    }
-    if (entry.nsyms == 2 && decoded < count && entry.sym1 != stop_symbol) {
-      out[decoded++] = entry.sym1;
-      reader.seek(start + entry.total_bits);
-    } else {
-      // A stop symbol in the second slot is left in the stream so the next
-      // probe emits it as sym0 and the stop bookkeeping stays in one place.
-      reader.seek(start + entry.len0);
-    }
-  }
-  return decoded;
 }
 
 }  // namespace internal

@@ -4,41 +4,28 @@
 
 #include "core/dtypes/float_type.hpp"
 #include "core/ndarray/shape.hpp"
-#include "core/util/bitstream.hpp"
 
 namespace pyblaz::kernels {
 
-/// Runtime-dispatched SIMD kernel backends.
+/// Runtime-dispatched SIMD kernel backends for the rebin family: max_abs,
+/// quantize, unbin and the decode-accumulate kernels, per bin index type.
 ///
-/// The scalar kernels in rebin.hpp / fast_transform.cpp stay the single
-/// source of truth for the arithmetic; each SIMD backend is a drop-in table
-/// of function pointers that must reproduce the scalar results *bit for bit*
-/// (docs/PERF.md, "SIMD backends", spells out the reduction-tree contract
-/// that makes this possible).  The table is resolved exactly once, before
-/// main() runs any codec work: by default the best backend the CPU supports,
-/// overridable with CC_KERNEL_BACKEND=scalar|avx2 (an unrecognized or
-/// unavailable value warns on stderr and falls back to scalar) or
-/// programmatically with set_backend().  Hot paths hoist `const KernelTable&
-/// t = active()` once per operation, so dispatch costs one atomic load per
-/// block loop, not per element or per call.
+/// The scalar kernels in rebin.hpp stay the single source of truth for the
+/// arithmetic; each SIMD backend is a drop-in table of function pointers
+/// that must reproduce the scalar results *bit for bit* (docs/PERF.md, "SIMD
+/// backends", spells out the reduction-tree contract that makes this
+/// possible).  The table holds only slots with a real SIMD twin: transforms
+/// call the scalar kernels in fast_transform.hpp directly.
+///
+/// The table is resolved exactly once, before main() runs any codec work:
+/// by default the best backend the CPU supports, overridable with
+/// CC_KERNEL_BACKEND=scalar|avx2 (an unrecognized or unavailable value warns
+/// on stderr and falls back to scalar) or programmatically with
+/// set_backend().  Hot paths hoist `const KernelTable& t = active()` once
+/// per operation, so dispatch costs one atomic load per block loop, not per
+/// element or per call.
 
 enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
-
-/// One entry of the 2-symbol Huffman decode LUT (see szx/huffman.hpp):
-/// indexed by the next 8 stream bits, it resolves up to two complete codes
-/// per probe.  nsyms == 0 means the first code is longer than 8 bits and the
-/// caller must fall back to the bit-serial decoder for one symbol.
-struct HuffmanLut2Entry {
-  std::int32_t sym0 = -1;
-  std::int32_t sym1 = -1;
-  std::uint8_t len0 = 0;        ///< Bits of the first code (0 when nsyms == 0).
-  std::uint8_t total_bits = 0;  ///< len0 + len1 when nsyms == 2.
-  std::uint8_t nsyms = 0;
-};
-
-/// The LUT above is indexed by this many stream bits.  huffman.cpp
-/// static_asserts its serial fast-path table uses the same width.
-inline constexpr int kHuffmanLutBits = 8;
 
 /// Per-bin-index-type kernel slots.  Signatures mirror the scalar templates
 /// in rebin.hpp exactly; see there for semantics.
@@ -75,22 +62,6 @@ struct KernelTable {
   BinKernels<std::int16_t> i16;
   BinKernels<std::int32_t> i32;
   BinKernels<std::int64_t> i64;
-
-  /// Dense one-axis transform, matching kernels::dense_transform_axis.
-  void (*dense_transform_axis)(const double* src, double* dst,
-                               const double* matrix, index_t n, index_t outer,
-                               index_t inner, bool forward);
-
-  /// Factorized Lee DCT over one axis, matching the DCT arm of
-  /// kernels::fast_transform_axis (Haar stays scalar in every backend).
-  /// @p n must satisfy fast_axis_supported(kDct, n).
-  void (*dct_axis)(double* data, double* tmp, index_t n, index_t outer,
-                   index_t inner, bool forward);
-
-  /// Batched 2-symbol Huffman decode; see HuffmanCoder::decode_run.
-  index_t (*huffman_decode_run)(const HuffmanLut2Entry* lut, BitReader& reader,
-                                std::int32_t* out, index_t count,
-                                std::int32_t stop_symbol);
 };
 
 /// Typed accessor so generic (BinT-templated) call sites can pick their slot

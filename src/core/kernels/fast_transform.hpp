@@ -13,44 +13,27 @@ namespace pyblaz::kernels {
 /// two.
 bool fast_axis_supported(TransformKind kind, index_t n);
 
-/// How fast_axis_preferred() decides between the factorized and the dense
-/// axis kernel for a supported size.
-enum class FastAxisPolicy : std::uint8_t {
-  /// One-shot startup micro-probe: the first dispatch times both kernels on
-  /// this host (forward + inverse, contiguous + strided panels) and caches
-  /// the verdict per (kind, n).  The default.  The measurement overrides the
-  /// fixed heuristic only on a decisive >25% win, so borderline sizes stay
-  /// on the heuristic instead of flipping between runs on timer noise; a
-  /// host where the probe *is* decisive dispatches differently from other
-  /// hosts (the outputs differ only in last-ulp rounding and remain fully
-  /// interoperable).
-  kAutotune = 0,
-  /// The fixed pre-measured heuristic (all supported DCT sizes; Haar
-  /// n >= 8): host-independent dispatch for bit-reproducible pipelines
-  /// across machines.
-  kFixed = 1,
-};
-
-/// Process-wide policy override.  Defaults to kAutotune; the PYBLAZ_FAST_AXIS
-/// environment variable ("autotune" or "fixed", read once at startup) is the
-/// settings override, and this setter is the programmatic one (used by tests
-/// and benchmarks).
+/// The only transform dispatch policy: the fixed rule in
+/// fast_axis_preferred().  This enum and its no-op setter exist only because
+/// perfbench/src/main.cpp still calls them, and the benchmark harness under
+/// perfbench/ is kept unchanged so its runs stay comparable across library
+/// changes.
+enum class FastAxisPolicy : std::uint8_t { kFixed };
 void set_fast_axis_policy(FastAxisPolicy policy);
-FastAxisPolicy fast_axis_policy();
 
 /// True when the factorized path is supported AND preferred over the dense
-/// matrix apply for this axis length — what TransformImpl::kAuto uses.
-/// Under FastAxisPolicy::kAutotune the preference is measured on this host
-/// (first call probes, later calls hit the cache); under kFixed it is the
-/// pre-measured heuristic (very short Haar axes are dominated by butterfly
-/// level overhead, so the dense path keeps them).
+/// matrix apply for this axis length — what TransformImpl::kAuto uses.  One
+/// fixed, host-independent rule, so archive bits never depend on the
+/// machine: every supported DCT size, and Haar n = 1 or n >= 8 (very short
+/// Haar axes are dominated by butterfly level overhead, so the dense path
+/// keeps them; measured in bench/micro_kernels.cpp).
 bool fast_axis_preferred(TransformKind kind, index_t n);
 
 /// Dense matrix contraction of one axis of a row-major block viewed as
 /// (outer, n, inner), out of place (@p src -> @p dst): forward contracts
 /// with basis rows, inverse with basis columns.  @p matrix is the n x n
-/// orthonormal basis.  This is TransformImpl::kDense's kernel, hoisted here
-/// so the autotune probe times exactly the code the dense path runs.
+/// orthonormal basis.  This is TransformImpl::kDense's kernel and the
+/// oracle the factorized kernels are tested against.
 void dense_transform_axis(const double* src, double* dst, const double* matrix,
                           index_t n, index_t outer, index_t inner,
                           bool forward);
@@ -65,18 +48,5 @@ void dense_transform_axis(const double* src, double* dst, const double* matrix,
 /// fast_axis_supported(kind, n); call the dense matrix path otherwise.
 void fast_transform_axis(TransformKind kind, double* data, double* tmp,
                          index_t n, index_t outer, index_t inner, bool forward);
-
-/// The DCT arm of fast_transform_axis on its own: in-place factorized Lee
-/// DCT along one axis.  Requires fast_axis_supported(kDCT, n) and n > 1.
-/// This is the scalar implementation behind KernelTable::dct_axis; the SIMD
-/// backends replace the panel kernels but must match it bit for bit.
-void dct_fast_axis(double* data, double* tmp, index_t n, index_t outer,
-                   index_t inner, bool forward);
-
-/// Lee's secant factors for a supported DCT size @p m: the length-m/2 table
-/// sec[p] = 1 / (2 cos(pi (2p+1) / (2m))).  Exposed so SIMD backends load
-/// the *same* table memory as the scalar recursion instead of recomputing
-/// values that libm could conceivably round differently.
-const double* dct_secant_table(index_t m);
 
 }  // namespace pyblaz::kernels

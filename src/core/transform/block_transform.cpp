@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/kernels/backend.hpp"
 #include "core/kernels/fast_transform.hpp"
 #include "core/transform/dct.hpp"
 #include "core/transform/haar.hpp"
@@ -30,7 +29,6 @@ BlockTransform::BlockTransform(TransformKind kind, Shape block_shape,
   }
 }
 
-
 void BlockTransform::apply(double* block, double* scratch,
                            Direction direction) const {
   const int d = block_shape_.ndim();
@@ -38,10 +36,7 @@ void BlockTransform::apply(double* block, double* scratch,
 
   // Factorized axes transform in place (using the other buffer as butterfly
   // scratch); dense axes ping-pong between the two buffers.  Copy back only
-  // if the final result landed in scratch.  The DCT and dense kernels come
-  // from the active backend table (resolved once per apply); the Haar
-  // butterflies stay on the shared scalar kernel in every backend.
-  const kernels::KernelTable& table = kernels::active();
+  // if the final result landed in scratch.
   double* src = block;
   double* dst = scratch;
   for (int axis = 0; axis < d; ++axis) {
@@ -51,14 +46,9 @@ void BlockTransform::apply(double* block, double* scratch,
     for (int a = axis + 1; a < d; ++a) inner *= block_shape_[a];
     if (impl_ == TransformImpl::kAuto &&
         kernels::fast_axis_preferred(kind_, n)) {
-      if (kind_ == TransformKind::kDCT && n > 1) {
-        table.dct_axis(src, dst, n, outer, inner, forward);
-      } else {
-        kernels::fast_transform_axis(kind_, src, dst, n, outer, inner,
-                                     forward);
-      }
+      kernels::fast_transform_axis(kind_, src, dst, n, outer, inner, forward);
     } else {
-      table.dense_transform_axis(
+      kernels::dense_transform_axis(
           src, dst, matrices_[static_cast<std::size_t>(axis)].data(), n, outer,
           inner, forward);
       std::swap(src, dst);

@@ -15,9 +15,10 @@ namespace pyblaz {
 /// C = B ×_1 H_1 ×_2 H_2 ... ×_d H_d; the inverse contracts with the
 /// transposes.  Both directions are exact inverses up to floating-point
 /// rounding because every H_d is orthonormal.
-/// Axes whose length the factorized kernels support (power-of-two sizes up
-/// to 64 for the DCT, any power of two for Haar; see core/kernels) run in
-/// O(n log n) butterflies; other axes fall back to the dense matrix apply.
+/// Axes that kernels::fast_axis_preferred() selects (power-of-two sizes up
+/// to 128 for the DCT, power-of-two sizes from 8 for Haar) run in O(n log n)
+/// butterflies; other axes fall back to the dense matrix apply.  The rule is
+/// fixed, so which kernel runs never depends on the host.
 /// TransformImpl::kDense forces the dense path everywhere — the oracle the
 /// kernel-equivalence tests and benchmarks compare against.
 class BlockTransform {

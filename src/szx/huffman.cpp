@@ -152,15 +152,11 @@ void HuffmanCoder::build_canonical_codes() {
 
   // Two-symbol table for decode_run: reuse the first-symbol resolution
   // above, then walk the window's remaining bits for a second complete code.
-  static_assert(kTableBits == pyblaz::kernels::kHuffmanLutBits,
-                "decode_run's LUT walker assumes the same window width");
-  decode_table2_.assign(std::size_t{1} << kTableBits,
-                        pyblaz::kernels::HuffmanLut2Entry{});
+  decode_table2_.assign(std::size_t{1} << kTableBits, PairEntry{});
   for (std::uint32_t idx = 0; idx < (1u << kTableBits); ++idx) {
     const TableEntry first = decode_table_[static_cast<std::size_t>(idx)];
     if (first.length == 0) continue;  // nsyms == 0: bit-serial fallback.
-    pyblaz::kernels::HuffmanLut2Entry& entry =
-        decode_table2_[static_cast<std::size_t>(idx)];
+    PairEntry& entry = decode_table2_[static_cast<std::size_t>(idx)];
     entry.sym0 = first.symbol;
     entry.len0 = first.length;
     entry.total_bits = first.length;
@@ -187,8 +183,32 @@ pyblaz::index_t HuffmanCoder::decode_run(pyblaz::BitReader& reader,
                                          std::int32_t* out,
                                          pyblaz::index_t count,
                                          std::int32_t stop_symbol) const {
-  return pyblaz::kernels::active().huffman_decode_run(
-      decode_table2_.data(), reader, out, count, stop_symbol);
+  pyblaz::index_t decoded = 0;
+  while (decoded < count) {
+    const std::size_t start = reader.position();
+    const PairEntry& entry = decode_table2_[static_cast<std::size_t>(
+        reader.get_bits(kTableBits))];
+    if (entry.nsyms == 0) {
+      // First code longer than the LUT window: rewind so the caller can run
+      // the bit-serial decoder for exactly one symbol and resume.
+      reader.seek(start);
+      break;
+    }
+    out[decoded++] = entry.sym0;
+    if (entry.sym0 == stop_symbol) {
+      reader.seek(start + entry.len0);
+      break;
+    }
+    if (entry.nsyms == 2 && decoded < count && entry.sym1 != stop_symbol) {
+      out[decoded++] = entry.sym1;
+      reader.seek(start + entry.total_bits);
+    } else {
+      // A stop symbol in the second slot is left in the stream so the next
+      // probe emits it as sym0 and the stop bookkeeping stays in one place.
+      reader.seek(start + entry.len0);
+    }
+  }
+  return decoded;
 }
 
 void HuffmanCoder::encode(pyblaz::BitWriter& writer, int symbol) const {

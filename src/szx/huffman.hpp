@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/kernels/backend.hpp"
+#include "core/ndarray/shape.hpp"
 #include "core/util/bitstream.hpp"
 
 namespace szx {
@@ -40,10 +40,10 @@ class HuffmanCoder {
   /// identical stream semantics to the bit-serial decoder it replaced.
   int decode(pyblaz::BitReader& reader) const;
 
-  /// Decode up to @p count symbols in one batched run through the active
-  /// kernel backend's 2-symbol LUT walker (the szx decode loop's hot path):
-  /// each 8-bit probe resolves up to two complete codes, so short-code
-  /// streams consume roughly half the probes of symbol-at-a-time decode().
+  /// Decode up to @p count symbols in one batched run through the 2-symbol
+  /// LUT (the szx decode loop's hot path): each 8-bit probe resolves up to
+  /// two complete codes, so short-code streams consume roughly half the
+  /// probes of symbol-at-a-time decode().
   ///
   /// Returns the number of symbols written to @p out, which is less than
   /// @p count when
@@ -96,8 +96,16 @@ class HuffmanCoder {
   // when the first code leaves room in the 8-bit window and a second code
   // completes inside it, both symbols resolve from one probe.  Built by
   // walking the window's bits exactly as the serial decoder would, so the
-  // batched and serial paths agree bit for bit.
-  std::vector<pyblaz::kernels::HuffmanLut2Entry> decode_table2_;
+  // batched and serial paths agree bit for bit.  nsyms == 0 means the first
+  // code is longer than the window: fall back to decode() for one symbol.
+  struct PairEntry {
+    std::int32_t sym0 = -1;
+    std::int32_t sym1 = -1;
+    std::uint8_t len0 = 0;        // Bits of the first code.
+    std::uint8_t total_bits = 0;  // len0 + len1 when nsyms == 2.
+    std::uint8_t nsyms = 0;
+  };
+  std::vector<PairEntry> decode_table2_;
 };
 
 }  // namespace szx

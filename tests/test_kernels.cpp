@@ -210,31 +210,15 @@ TEST(FastAxisSupported, MatchesDocumentedSizes) {
 }
 
 TEST(FastAxisPreferred, FixedPolicyMatchesDocumentedHeuristic) {
-  const kernels::FastAxisPolicy saved = kernels::fast_axis_policy();
-  kernels::set_fast_axis_policy(kernels::FastAxisPolicy::kFixed);
-  for (index_t n : {2, 4, 8, 16, 32, 64, 128})
+  for (index_t n : {1, 2, 4, 8, 16, 32, 64, 128})
     EXPECT_TRUE(kernels::fast_axis_preferred(TransformKind::kDCT, n)) << n;
+  EXPECT_FALSE(kernels::fast_axis_preferred(TransformKind::kDCT, 256));
+  EXPECT_FALSE(kernels::fast_axis_preferred(TransformKind::kDCT, 3));
+  EXPECT_TRUE(kernels::fast_axis_preferred(TransformKind::kHaar, 1));
   EXPECT_TRUE(kernels::fast_axis_preferred(TransformKind::kHaar, 8));
   EXPECT_TRUE(kernels::fast_axis_preferred(TransformKind::kHaar, 64));
   EXPECT_FALSE(kernels::fast_axis_preferred(TransformKind::kHaar, 2));
   EXPECT_FALSE(kernels::fast_axis_preferred(TransformKind::kHaar, 4));
-  kernels::set_fast_axis_policy(saved);
-}
-
-TEST(FastAxisPreferred, AutotuneProbeOnlyPrefersSupportedSizes) {
-  const kernels::FastAxisPolicy saved = kernels::fast_axis_policy();
-  kernels::set_fast_axis_policy(kernels::FastAxisPolicy::kAutotune);
-  // The probe's verdicts are host-dependent, so only structural properties
-  // are pinned: unsupported sizes are never preferred, n = 1 always is, and
-  // repeated queries are stable within the process (the probe runs once).
-  EXPECT_FALSE(kernels::fast_axis_preferred(TransformKind::kDCT, 256));
-  EXPECT_FALSE(kernels::fast_axis_preferred(TransformKind::kDCT, 3));
-  EXPECT_TRUE(kernels::fast_axis_preferred(TransformKind::kDCT, 1));
-  for (index_t n : {2, 4, 8, 16, 32}) {
-    const bool first = kernels::fast_axis_preferred(TransformKind::kHaar, n);
-    EXPECT_EQ(kernels::fast_axis_preferred(TransformKind::kHaar, n), first);
-  }
-  kernels::set_fast_axis_policy(saved);
 }
 
 // ------------------------------------------- fused pipeline vs unfused seed
