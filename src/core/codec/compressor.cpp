@@ -188,7 +188,7 @@ NDArray<double> Compressor::decompress(const CompressedArray& array) const {
   const index_t kept = array.kept_per_block();
   const auto& kept_offsets = array.mask.kept_offsets();
   const double r = static_cast<double>(array.radius());
-  const FloatType ftype = settings_.float_type;
+  const FloatType ftype = array.float_type;
 
   NDArray<double> out(array.shape);
 

@@ -31,8 +31,9 @@ class Compressor {
                            CompressionDiagnostics* diagnostics = nullptr) const;
 
   /// Decompress back to an array shaped like the original.  Values are
-  /// rounded through the configured float type, as PyBlaz stores and
-  /// reconstructs in that type.
+  /// rounded through the array's stored float type, as PyBlaz stores and
+  /// reconstructs in that type (the same rounding get() and
+  /// decompress_roi() apply).
   NDArray<double> decompress(const CompressedArray& array) const;
 
   const CompressorSettings& settings() const { return settings_; }

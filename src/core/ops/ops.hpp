@@ -110,7 +110,8 @@ NDArray<double> structural_similarity_map(const CompressedArray& a,
 /// to 1 are pushed through softmax first.  @p stable selects a log-domain
 /// evaluation that survives large p (p ≳ 40 underflows the naive form —
 /// matching the paper's observation that all peaks vanish for p ≥ 80);
-/// stable = false reproduces the naive arithmetic.
+/// stable = false reproduces the naive arithmetic.  Throws
+/// std::invalid_argument unless @p p is finite and >= 1.
 double wasserstein_distance(const CompressedArray& a, const CompressedArray& b,
                             double p, bool stable = true);
 

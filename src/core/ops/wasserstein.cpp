@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "core/ops/ops.hpp"
 #include "core/ops/ops_internal.hpp"
@@ -63,6 +64,9 @@ double power_mean_naive(const std::vector<double>& pa,
 
 double wasserstein_distance(const CompressedArray& a, const CompressedArray& b,
                             double p, bool stable) {
+  if (!(std::isfinite(p) && p >= 1.0))
+    throw std::invalid_argument(
+        "wasserstein_distance: order p must be finite and >= 1");
   a.require_layout_match(b);
   internal::require_dc(a, "Wasserstein distance");
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace pyblaz::reference {
 
@@ -119,6 +120,9 @@ double power_mean(const std::vector<double>& diffs, double p, bool stable) {
 
 double wasserstein_distance(const NDArray<double>& x, const NDArray<double>& y,
                             double p, bool stable) {
+  if (!(std::isfinite(p) && p >= 1.0))
+    throw std::invalid_argument(
+        "wasserstein_distance: order p must be finite and >= 1");
   assert(x.shape() == y.shape());
   std::vector<double> px = x.vector();
   std::vector<double> py = y.vector();

@@ -45,7 +45,8 @@ double structural_similarity(const NDArray<double>& x, const NDArray<double>& y,
 /// Exact 1-D p-order Wasserstein distance between the empirical distributions
 /// of x and y: softmax-normalize if needed, sort, and take the p-power mean
 /// of sorted differences — Algorithm 13 without the blockwise-mean
-/// coarsening.  @p stable selects the log-domain evaluation.
+/// coarsening.  @p stable selects the log-domain evaluation.  Throws
+/// std::invalid_argument unless @p p is finite and >= 1.
 double wasserstein_distance(const NDArray<double>& x, const NDArray<double>& y,
                             double p, bool stable = true);
 

@@ -164,6 +164,30 @@ TEST(CliCommands, DistanceMetrics) {
   }
 }
 
+TEST(CliCommands, DistanceRejectsInvalidWassersteinOrder) {
+  TempDir dir;
+  Rng rng(1415);
+  for (const char* stem : {"x", "y"}) {
+    cli::write_raw_f64(dir.path(std::string(stem) + ".f64"),
+                       random_smooth(Shape{32, 32}, rng));
+    std::ostringstream ignore;
+    ASSERT_EQ(cli::run({"compress", dir.path(std::string(stem) + ".f64"),
+                        "--shape", "32,32", "--block", "8,8", "-o",
+                        dir.path(std::string(stem) + ".pyblaz")},
+                       ignore),
+              0);
+  }
+  for (const char* order : {"0", "-1", "nan"}) {
+    std::ostringstream out;
+    EXPECT_EQ(cli::run({"distance", dir.path("x.pyblaz"), dir.path("y.pyblaz"),
+                        "--metric", "wasserstein", "--order", order},
+                       out),
+              1)
+        << order << ": " << out.str();
+    EXPECT_NE(out.str().find("error:"), std::string::npos) << order;
+  }
+}
+
 TEST(CliCommands, TuneFindsSettings) {
   TempDir dir;
   Rng rng(1417);

@@ -230,5 +230,29 @@ TEST(Codec, Float16InputsCanOverflowToInf) {
   EXPECT_TRUE(std::isfinite(bf.compress(array).biggest[0]));
 }
 
+TEST(Codec, DecompressRoundsThroughTheArrayFloatType) {
+  // The stored float type belongs to the archive: a float16 archive decodes
+  // to the same values whichever compressor (or random-access read) decodes
+  // it.
+  Rng rng(61);
+  const NDArray<double> array = random_smooth(Shape{64, 64}, rng);
+  const Compressor f16({.block_shape = Shape{8, 8},
+                        .float_type = FloatType::kFloat16,
+                        .index_type = IndexType::kInt16});
+  const Compressor f32({.block_shape = Shape{8, 8},
+                        .float_type = FloatType::kFloat32,
+                        .index_type = IndexType::kInt16});
+  const CompressedArray compressed = f16.compress(array);
+  const NDArray<double> expected = f16.decompress(compressed);
+  const NDArray<double> roi = compressed.decompress_roi({0, 0}, {64, 64});
+  const NDArray<double> other = f32.decompress(compressed);
+  index_t differing = 0;
+  for (index_t k = 0; k < array.size(); ++k) {
+    EXPECT_EQ(roi[k], expected[k]) << k;
+    if (other[k] != expected[k]) ++differing;
+  }
+  EXPECT_EQ(differing, 0);
+}
+
 }  // namespace
 }  // namespace pyblaz

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/codec/compressor.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
@@ -165,6 +166,30 @@ TEST(OpsWasserstein, ThrowsOnLayoutMismatch) {
   NDArray<double> x = random_smooth(Shape{16, 16}, rng);
   EXPECT_THROW(ops::wasserstein_distance(c2.compress(x), c4.compress(x), 2.0),
                std::invalid_argument);
+}
+
+TEST(OpsWasserstein, RejectsOrdersBelowOneAndNonFiniteOrders) {
+  // The p-power mean is a distance only for finite p >= 1; p = 0, negative
+  // and NaN orders used to return NaN or meaningless small values.
+  Compressor compressor(settings_with_block(Shape{8, 8}));
+  Rng rng(521);
+  NDArray<double> x = random_smooth(Shape{64, 64}, rng);
+  NDArray<double> y = random_smooth(Shape{64, 64}, rng);
+  const CompressedArray a = compressor.compress(x);
+  const CompressedArray b = compressor.compress(y);
+  for (double p : {0.0, 0.5, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    for (bool stable : {true, false}) {
+      EXPECT_THROW(ops::wasserstein_distance(a, b, p, stable),
+                   std::invalid_argument)
+          << "p " << p << " stable " << stable;
+      EXPECT_THROW(reference::wasserstein_distance(x, y, p, stable),
+                   std::invalid_argument)
+          << "p " << p << " stable " << stable;
+    }
+  }
+  EXPECT_GT(ops::wasserstein_distance(a, b, 1.0), 0.0);
+  EXPECT_GT(reference::wasserstein_distance(x, y, 1.0), 0.0);
 }
 
 }  // namespace
