@@ -548,11 +548,11 @@ void bench_threaded_codec(Harness& harness) {
 }
 
 /// Per-backend kernel series: the rebin-family kernels (decode_lincomb,
-/// rebin/unbin) timed through each compiled-in backend's dispatch table.  Bit identity is enforced by the test suite;
-/// this series exists to keep the *speed* claim measured — the JSON records
-/// speedup_over_scalar per entry and main() warns when a SIMD backend comes
-/// out slower than scalar (warn-only: shared CI boxes are too noisy to gate
-/// on).
+/// rebin/unbin) timed through each compiled-in backend's dispatch table.
+/// Bit identity is enforced by the test suite; this series exists to keep
+/// the *speed* claim measured — the JSON records speedup_over_scalar per
+/// entry and main() warns when a SIMD backend comes out slower than scalar
+/// (warn-only: shared CI boxes are too noisy to gate on).
 void bench_backends(Harness& harness) {
   const kernels::Backend saved = kernels::active_backend();
   const index_t kept = 512;

@@ -308,10 +308,10 @@ void haar_axis_impl(double* data, double* tmp, index_t n, index_t outer,
 
 bool is_power_of_two(index_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
-/// Contract one axis of a block with the basis matrix.  The block is viewed as (outer, n, inner); forward uses H[k][k2], inverse
-/// H[k2][k].  Templating on the axis length N gives the compiler
-/// compile-time trip counts for the hot loops; N == 0 is the dynamic
-/// fallback.
+/// Contract one axis of a block with the basis matrix.  The block is viewed
+/// as (outer, n, inner); forward uses H[k][k2], inverse H[k2][k].
+/// Templating on the axis length N gives the compiler compile-time trip
+/// counts for the hot loops; N == 0 is the dynamic fallback.
 template <index_t N>
 void apply_axis(const double* src, double* dst, const double* h, index_t n_dyn,
                 index_t outer, index_t inner, bool forward) {
