@@ -17,7 +17,8 @@ int bits(IndexType type) {
 }
 
 std::int64_t radius(IndexType type) {
-  return (std::int64_t{1} << (bits(type) - 1)) - 1;
+  // Unsigned, so int64's 2^63 - 1 does not overflow on the way.
+  return static_cast<std::int64_t>((std::uint64_t{1} << (bits(type) - 1)) - 1);
 }
 
 std::int64_t arithmetic_radius(IndexType type) {
