@@ -128,54 +128,36 @@ void HuffmanCoder::build_canonical_codes() {
   }
 
   // Batched decode table: for every possible next byte (in BitReader bit
-  // order, first-read bit lowest), resolve the symbol whose code starts
-  // there, if it completes within kTableBits bits.  Walking the index's bits
-  // exactly as the serial decoder would guarantees table and fallback agree.
-  decode_table_.assign(std::size_t{1} << kTableBits, TableEntry{});
-  for (std::uint32_t idx = 0; idx < (1u << kTableBits); ++idx) {
+  // order, first-read bit lowest), resolve the code that starts there and,
+  // if room is left, a second one after it, each only if it completes
+  // within kTableBits bits.  resolve() returns the length of the code that
+  // starts at bit @p offset of @p window (0 if none completes), walking the
+  // bits exactly as the serial decoder would so table and fallback agree.
+  const auto resolve = [this](std::uint32_t window, int offset,
+                              std::int32_t& symbol) -> std::uint8_t {
     std::uint32_t prefix = 0;
-    for (int len = 1; len <= kTableBits; ++len) {
-      prefix = (prefix << 1) | ((idx >> (len - 1)) & 1u);
+    for (int len = 1; offset + len <= kTableBits; ++len) {
+      prefix = (prefix << 1) | ((window >> (offset + len - 1)) & 1u);
       const std::uint32_t count = count_by_length_[static_cast<std::size_t>(len)];
       if (count == 0) continue;
       const std::uint32_t first = first_code_[static_cast<std::size_t>(len)];
       if (prefix >= first && prefix < first + count) {
         const std::uint32_t index =
             first_symbol_[static_cast<std::size_t>(len)] + (prefix - first);
-        decode_table_[idx] = TableEntry{
-            sorted_symbols_[static_cast<std::size_t>(index)],
-            static_cast<std::uint8_t>(len)};
-        break;
+        symbol = sorted_symbols_[static_cast<std::size_t>(index)];
+        return static_cast<std::uint8_t>(len);
       }
     }
-  }
-
-  // Two-symbol table for decode_run: reuse the first-symbol resolution
-  // above, then walk the window's remaining bits for a second complete code.
-  decode_table2_.assign(std::size_t{1} << kTableBits, PairEntry{});
+    return 0;
+  };
+  decode_table_.assign(std::size_t{1} << kTableBits, TableEntry{});
   for (std::uint32_t idx = 0; idx < (1u << kTableBits); ++idx) {
-    const TableEntry first = decode_table_[static_cast<std::size_t>(idx)];
-    if (first.length == 0) continue;  // nsyms == 0: bit-serial fallback.
-    PairEntry& entry = decode_table2_[static_cast<std::size_t>(idx)];
-    entry.sym0 = first.symbol;
-    entry.len0 = first.length;
-    entry.total_bits = first.length;
-    entry.nsyms = 1;
-    std::uint32_t prefix = 0;
-    for (int len = 1; len + first.length <= kTableBits; ++len) {
-      prefix = (prefix << 1) | ((idx >> (first.length + len - 1)) & 1u);
-      const std::uint32_t count = count_by_length_[static_cast<std::size_t>(len)];
-      if (count == 0) continue;
-      const std::uint32_t first_code = first_code_[static_cast<std::size_t>(len)];
-      if (prefix >= first_code && prefix < first_code + count) {
-        const std::uint32_t index =
-            first_symbol_[static_cast<std::size_t>(len)] + (prefix - first_code);
-        entry.sym1 = sorted_symbols_[static_cast<std::size_t>(index)];
-        entry.total_bits = static_cast<std::uint8_t>(first.length + len);
-        entry.nsyms = 2;
-        break;
-      }
-    }
+    TableEntry& entry = decode_table_[static_cast<std::size_t>(idx)];
+    entry.len0 = resolve(idx, 0, entry.sym0);
+    if (entry.len0 == 0) continue;  // nsyms == 0: bit-serial fallback.
+    const std::uint8_t len1 = resolve(idx, entry.len0, entry.sym1);
+    entry.total_bits = static_cast<std::uint8_t>(entry.len0 + len1);
+    entry.nsyms = len1 > 0 ? 2 : 1;
   }
 }
 
@@ -186,7 +168,7 @@ pyblaz::index_t HuffmanCoder::decode_run(pyblaz::BitReader& reader,
   pyblaz::index_t decoded = 0;
   while (decoded < count) {
     const std::size_t start = reader.position();
-    const PairEntry& entry = decode_table2_[static_cast<std::size_t>(
+    const TableEntry& entry = decode_table_[static_cast<std::size_t>(
         reader.get_bits(kTableBits))];
     if (entry.nsyms == 0) {
       // First code longer than the LUT window: rewind so the caller can run
@@ -228,10 +210,10 @@ int HuffmanCoder::decode(pyblaz::BitReader& reader) const {
   // semantics), matching what the serial loop would have seen.
   const std::size_t start = reader.position();
   const std::uint64_t window = reader.get_bits(kTableBits);
-  const TableEntry entry = decode_table_[static_cast<std::size_t>(window)];
-  if (entry.length > 0) {
-    reader.seek(start + entry.length);
-    return entry.symbol;
+  const TableEntry& entry = decode_table_[static_cast<std::size_t>(window)];
+  if (entry.nsyms > 0) {
+    reader.seek(start + entry.len0);
+    return entry.sym0;
   }
 
   // Fallback for codes longer than the table covers: rebuild the MSB-first

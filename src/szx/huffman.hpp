@@ -82,30 +82,20 @@ class HuffmanCoder {
   std::vector<int> sorted_symbols_;
 
   // Batched decode table, indexed by the next 8 stream bits exactly as
-  // BitReader::get_bits(8) returns them (first-read bit in bit 0).  Entries
-  // with length 0 mean "no code completes within 8 bits": fall back to the
-  // bit-serial walk.
+  // BitReader::get_bits(8) returns them (first-read bit in bit 0).  Each
+  // entry resolves the code that starts the window and, when it leaves room
+  // and a second code completes inside the window, that one too, so
+  // decode_run() takes up to two symbols per probe.  nsyms == 0 means no
+  // code completes within 8 bits: fall back to the bit-serial walk.
   struct TableEntry {
-    std::int32_t symbol = -1;
-    std::uint8_t length = 0;
-  };
-  static constexpr int kTableBits = 8;
-  std::vector<TableEntry> decode_table_;
-
-  // Two-symbol decode table for decode_run, same indexing as decode_table_:
-  // when the first code leaves room in the 8-bit window and a second code
-  // completes inside it, both symbols resolve from one probe.  Built by
-  // walking the window's bits exactly as the serial decoder would, so the
-  // batched and serial paths agree bit for bit.  nsyms == 0 means the first
-  // code is longer than the window: fall back to decode() for one symbol.
-  struct PairEntry {
     std::int32_t sym0 = -1;
     std::int32_t sym1 = -1;
     std::uint8_t len0 = 0;        // Bits of the first code.
     std::uint8_t total_bits = 0;  // len0 + len1 when nsyms == 2.
     std::uint8_t nsyms = 0;
   };
-  std::vector<PairEntry> decode_table2_;
+  static constexpr int kTableBits = 8;
+  std::vector<TableEntry> decode_table_;
 };
 
 }  // namespace szx
