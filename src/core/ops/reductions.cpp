@@ -59,16 +59,18 @@ double coefficient_inner_product(const CompressedArray& a,
               const double s2 = b.biggest[static_cast<std::size_t>(kb)] / r;
               const auto* f1 = f1_data + kb * kept;
               const auto* f2 = f2_data + kb * kept;
+              // The centred DC term is peeled off so the slot loop is one
+              // branch-free block; the summation order is unchanged.
               double partial = 0.0;
-              for (index_t slot = 0; slot < kept; ++slot) {
-                double c1 = s1 * static_cast<double>(f1[slot]);
-                double c2 = s2 * static_cast<double>(f2[slot]);
-                if (center_dc && slot == 0) {
-                  c1 -= mean_dc_a;
-                  c2 -= mean_dc_b;
-                }
-                partial += c1 * c2;
+              index_t slot = 0;
+              if (center_dc && kept > 0) {
+                partial += (s1 * static_cast<double>(f1[0]) - mean_dc_a) *
+                           (s2 * static_cast<double>(f2[0]) - mean_dc_b);
+                slot = 1;
               }
+              for (; slot < kept; ++slot)
+                partial += (s1 * static_cast<double>(f1[slot])) *
+                           (s2 * static_cast<double>(f2[slot]));
               acc += partial;
             }
             return acc;

@@ -255,6 +255,44 @@ TEST(OpsBlockwise, StdIsSqrtOfVariance) {
     EXPECT_NEAR(sd[k], std::sqrt(var[k]), 1e-12);
 }
 
+// ------------------------------------------------ pinned inner-product bits
+
+/// dot, covariance and l2_norm add each block's coefficient products slot by
+/// slot and the block sums in chunk order.  The literals were computed with
+/// the centred DC term still inside the slot loop; they pin that order.
+TEST(OpsInnerProducts, BitsArePinned) {
+  struct Pinned {
+    IndexType type;
+    double dot, covariance, l2_norm;
+  };
+  const Pinned pinned[] = {
+      {IndexType::kInt8, 0x1.e23b1d046110ap+13, 0x1.56e6054b74146p+1,
+       0x1.5f6766429e1fep+7},
+      {IndexType::kInt16, 0x1.e243f6344df44p+13, 0x1.56ec5b6538bb4p+1,
+       0x1.5f63c9f3a5dc7p+7},
+      {IndexType::kInt32, 0x1.e24423f85548cp+13, 0x1.56ec7bd407567p+1,
+       0x1.5f63d98fb1177p+7},
+      {IndexType::kInt64, 0x1.e24423f858cdfp+13, 0x1.56ec7bd409c1cp+1,
+       0x1.5f63d98faf8a7p+7},
+  };
+  for (const Pinned& p : pinned) {
+    Compressor compressor({.block_shape = Shape{4, 4, 4},
+                           .float_type = FloatType::kFloat32,
+                           .index_type = p.type});
+    Rng rng(365);
+    NDArray<double> x(Shape{12, 20, 24}), y(Shape{12, 20, 24});
+    for (index_t k = 0; k < x.size(); ++k) {
+      x[k] = rng.uniform(-4.0, 4.0);
+      y[k] = 0.5 * x[k] + rng.uniform(-1.0, 1.0);
+    }
+    const CompressedArray a = compressor.compress(x);
+    const CompressedArray b = compressor.compress(y);
+    EXPECT_EQ(ops::dot(a, b), p.dot) << bits(p.type);
+    EXPECT_EQ(ops::covariance(a, b), p.covariance) << bits(p.type);
+    EXPECT_EQ(ops::l2_norm(a), p.l2_norm) << bits(p.type);
+  }
+}
+
 // ----------------------------------------- parameterized: op-vs-reference sweep
 
 struct ReductionCase {
