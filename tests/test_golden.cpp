@@ -11,6 +11,11 @@
 /// dense (DCT 256, Haar 4x4) and factorized (every other case, including
 /// long strided DCT axes).  After a deliberate format or arithmetic change,
 /// a failing case prints its recomputed table row.
+///
+/// A second table pins op results the same way: the archive CRC of a biased
+/// 3-operand lincomb, a 9-operand lincomb and each output of a K = 4
+/// lincomb_batch, plus mean and dot as hex doubles, for a 2-D, a 3-D and a
+/// pruned case at every index type and at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +30,7 @@
 #include "core/codec/compressor.hpp"
 #include "core/codec/serialization.hpp"
 #include "core/kernels/backend.hpp"
+#include "core/ops/ops.hpp"
 #include "core/parallel/thread_pool.hpp"
 #include "core/util/checksum.hpp"
 #include "core/util/rng.hpp"
@@ -302,6 +308,172 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range(std::size_t{0}, golden_cases().size()),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return std::string(golden_cases()[info.param].name);
+    });
+
+// ---------------------------------------------------------------------------
+// Op results.  The archive table pins compress and decompress; this one pins
+// what the compressed-space ops produce, so a kernel change that moves a
+// lincomb or batch result by one bin cannot pass unseen.
+
+/// One index type's op results over a case's nine operands x0..x8.
+struct OpDigests {
+  /// Archive CRC of x0 - 0.5 x1 + 0.25 x2 + 0.125 (the request-stream mix
+  /// with a bias).
+  std::uint32_t lincomb3;
+  /// Archive CRC of the 9-operand RK4 height update
+  /// x0 - (x1 + x2 + x7 + x8) / 6 - (x3 + x4 + x5 + x6) / 3.
+  std::uint32_t lincomb9;
+  /// Archive CRC of each output of a K = 4 lincomb_batch: request k is
+  /// x0 - 0.25 (k+1) x1 + 0.5 x2 + 0.125 (k+1) x(3+k) + 0.0625 k, so the
+  /// requests share 3 of their 4 operands.
+  std::array<std::uint32_t, 4> batch;
+  double mean;  ///< ops::mean(x0).
+  double dot;   ///< ops::dot(x0, x1).
+};
+
+struct OpCase {
+  const char* name;
+  Shape shape;
+  Shape block;
+  double keep;
+  FloatType float_type;
+  std::uint64_t seed;
+  std::array<OpDigests, 4> digests;  ///< Per index type, kIndexTypes order.
+};
+
+std::string hex_double(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+std::string format_op_digests(const OpDigests& d) {
+  return "{" + hex(d.lincomb3) + ", " + hex(d.lincomb9) + ", {" +
+         hex(d.batch[0]) + ", " + hex(d.batch[1]) + ", " + hex(d.batch[2]) +
+         ", " + hex(d.batch[3]) + "},\n          " + hex_double(d.mean) +
+         ", " + hex_double(d.dot) + "}";
+}
+
+bool same_bits(const OpDigests& a, const OpDigests& b) {
+  return a.lincomb3 == b.lincomb3 && a.lincomb9 == b.lincomb9 &&
+         a.batch == b.batch &&
+         std::bit_cast<std::uint64_t>(a.mean) ==
+             std::bit_cast<std::uint64_t>(b.mean) &&
+         std::bit_cast<std::uint64_t>(a.dot) ==
+             std::bit_cast<std::uint64_t>(b.dot);
+}
+
+OpDigests op_digests(const std::vector<CompressedArray>& x) {
+  OpDigests d{};
+  d.lincomb3 = crc32(serialize(
+      ops::lincomb({{1.0, &x[0]}, {-0.5, &x[1]}, {0.25, &x[2]}}, 0.125)));
+  const double sixth = -1.0 / 6.0;
+  const double third = -1.0 / 3.0;
+  d.lincomb9 = crc32(serialize(ops::lincomb(
+      {{1.0, &x[0]}, {sixth, &x[1]}, {sixth, &x[2]}, {third, &x[3]},
+       {third, &x[4]}, {third, &x[5]}, {third, &x[6]}, {sixth, &x[7]},
+       {sixth, &x[8]}})));
+
+  std::array<std::array<const CompressedArray*, 4>, 4> operands;
+  std::array<std::array<double, 4>, 4> weights;
+  std::vector<ops::LincombRequest> requests;
+  for (std::size_t k = 0; k < 4; ++k) {
+    const double step = static_cast<double>(k + 1);
+    operands[k] = {&x[0], &x[1], &x[2], &x[3 + k]};
+    weights[k] = {1.0, -0.25 * step, 0.5, 0.125 * step};
+    requests.push_back({operands[k], weights[k], 0.0625 * (step - 1.0)});
+  }
+  const std::vector<CompressedArray> outputs = ops::lincomb_batch(requests);
+  for (std::size_t k = 0; k < 4; ++k)
+    d.batch[k] = crc32(serialize(outputs[k]));
+
+  d.mean = ops::mean(x[0]);
+  d.dot = ops::dot(x[0], x[1]);
+  return d;
+}
+
+const std::vector<OpCase>& op_cases() {
+  static const std::vector<OpCase> cases = {
+      {"dct2d_40x66_b8x8_f32", Shape{40, 66}, Shape{8, 8}, 1.0,
+       FloatType::kFloat32, 31,
+       {{{0x7339ac30, 0x267ae0b6, {0xf282eb63, 0x98d2ceb3, 0xd538353a, 0xe407ddd1},
+          -0x1.957de6ed0d4dcp+0, -0x1.0860f816653c2p+12},
+         {0xcc07c69b, 0x85d350c1, {0xe234b6e4, 0x57c97ab1, 0x3c695c94, 0x07b045cb},
+          -0x1.958231868d404p+0, -0x1.085bf0b6986e3p+12},
+         {0x887dba8a, 0x2c4ad6de, {0x5ff05b84, 0x0347edcd, 0x829c1955, 0x0ebc71c1},
+          -0x1.9582315a8879ap+0, -0x1.085be1e0518f7p+12},
+         {0xf7c3f748, 0x6afd07f3, {0xbd099c6d, 0x429f0e73, 0xb598c4bc, 0x467aa8a6},
+          -0x1.9582315a9f49fp+0, -0x1.085be1e07833cp+12}}}},
+      {"dct3d_20x24x28_b4x4x4_f64", Shape{20, 24, 28}, Shape{4, 4, 4}, 1.0,
+       FloatType::kFloat64, 32,
+       {{{0xb2b73ae8, 0x6e1bd34d, {0xcbbfbb65, 0x2e34628d, 0xdf9b83ef, 0xa3eaf502},
+          0x1.338b2f71657a2p-1, 0x1.10556bbd7059ap+7},
+         {0xb48bdbd4, 0x44090ceb, {0x04400112, 0xadda6c63, 0xb29511ed, 0x90e4213c},
+          0x1.338af22da249ep-1, 0x1.0ff784bc04f66p+7},
+         {0x4a358016, 0x8f10fc5f, {0x4061d9b2, 0x1cc7dcc4, 0xa5a912ad, 0x1b77d24d},
+          0x1.338af22c7cd92p-1, 0x1.0ff6a5fa9308cp+7},
+         {0x09e7e5bc, 0x3abb7f38, {0x0ac1312a, 0xe54832b5, 0xec69dd7c, 0x42e0377d},
+          0x1.338af22c7c50ep-1, 0x1.0ff6a5fadd824p+7}}}},
+      {"dct2d_40x66_b8x8_keep25_bf16", Shape{40, 66}, Shape{8, 8}, 0.25,
+       FloatType::kBFloat16, 33,
+       {{{0x3e40331b, 0x51d56afa, {0xc4e8d500, 0xed47b2e6, 0x7e8fc650, 0x5404db30},
+          0x1.5e60158056015p+0, -0x1.9869aba4dcep+11},
+         {0xcebb8c8a, 0xf75d48c5, {0xa0272821, 0x78fe2a75, 0xdd6d6502, 0x7ae8c4b7},
+          0x1.5e2c75533a4b7p+0, -0x1.97fdc0918cae4p+11},
+         {0x14ce3897, 0x66d6bdea, {0xdaefcbd6, 0x48f652d9, 0xac8dd723, 0x8fb609b0},
+          0x1.5e2c66663bd04p+0, -0x1.97fda916fa441p+11},
+         {0x21d275d4, 0x4c8ceeeb, {0xfa160874, 0x0c527c8a, 0x4f5a28b7, 0x78007299},
+          0x1.5e2c666666666p+0, -0x1.97fda9173cae4p+11}}}},
+  };
+  return cases;
+}
+
+class GoldenOps : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenOps, LincombBatchMeanAndDotMatchAtOneAndFourThreads) {
+  const OpCase& c = op_cases()[GetParam()];
+  ConfigGuard guard;
+  std::vector<NDArray<double>> inputs;
+  for (std::uint64_t k = 0; k < 9; ++k)
+    inputs.push_back(corpus(c.shape, 16 * c.seed + k));
+
+  std::array<OpDigests, 4> computed{};
+  for (std::size_t ii = 0; ii < kIndexTypes.size(); ++ii) {
+    CompressorSettings settings;
+    settings.block_shape = c.block;
+    settings.float_type = c.float_type;
+    settings.index_type = kIndexTypes[ii];
+    if (c.keep < 1.0)
+      settings.mask = PruningMask::keep_fraction(c.block, c.keep);
+    const Compressor compressor(settings);
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      std::vector<CompressedArray> x;
+      for (const NDArray<double>& input : inputs)
+        x.push_back(compressor.compress(input));
+      computed[ii] = op_digests(x);
+      EXPECT_TRUE(same_bits(computed[ii], c.digests[ii]))
+          << name(kIndexTypes[ii]) << " t" << threads << ": got\n"
+          << format_op_digests(computed[ii]) << "\nwant\n"
+          << format_op_digests(c.digests[ii]);
+    }
+  }
+  bool all_match = true;
+  for (std::size_t ii = 0; ii < computed.size(); ++ii)
+    all_match = all_match && same_bits(computed[ii], c.digests[ii]);
+  if (!all_match) {
+    std::string row = "       {{";
+    for (std::size_t ii = 0; ii < computed.size(); ++ii)
+      row += (ii > 0 ? ",\n         " : "") + format_op_digests(computed[ii]);
+    ADD_FAILURE() << "recomputed op digests for " << c.name << ":\n"
+                  << row << "}}},";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, GoldenOps, ::testing::Range(std::size_t{0}, op_cases().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(op_cases()[info.param].name);
     });
 
 }  // namespace
