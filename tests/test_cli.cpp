@@ -177,7 +177,7 @@ TEST(CliCommands, DistanceRejectsInvalidWassersteinOrder) {
                        ignore),
               0);
   }
-  for (const char* order : {"0", "-1", "nan"}) {
+  for (const char* order : {"0", "-1", "nan", "2abc"}) {
     std::ostringstream out;
     EXPECT_EQ(cli::run({"distance", dir.path("x.pyblaz"), dir.path("y.pyblaz"),
                         "--metric", "wasserstein", "--order", order},
@@ -198,6 +198,20 @@ TEST(CliCommands, TuneFindsSettings) {
       {"tune", dir.path("in.f64"), "--shape", "32,32", "--target", "0.01"}, out);
   ASSERT_EQ(status, 0) << out.str();
   EXPECT_NE(out.str().find("best settings:"), std::string::npos);
+}
+
+TEST(CliCommands, TuneRejectsTrailingGarbageInTarget) {
+  TempDir dir;
+  Rng rng(1418);
+  cli::write_raw_f64(dir.path("in.f64"), random_smooth(Shape{32, 32}, rng));
+  std::ostringstream out;
+  EXPECT_EQ(cli::run({"tune", dir.path("in.f64"), "--shape", "32,32",
+                      "--target", "0.01abc"},
+                     out),
+            1)
+      << out.str();
+  EXPECT_NE(out.str().find("error:"), std::string::npos);
+  EXPECT_NE(out.str().find("--target"), std::string::npos) << out.str();
 }
 
 TEST(CliCommands, ErrorsAreReportedNotThrown) {
@@ -229,6 +243,21 @@ TEST(CliCommands, CompressWithPruning) {
   std::ostringstream info;
   cli::run({"info", dir.path("c.pyblaz")}, info);
   EXPECT_NE(info.str().find("32/64"), std::string::npos);
+}
+
+TEST(CliCommands, CompressRejectsTrailingGarbageInKeep) {
+  TempDir dir;
+  Rng rng(1421);
+  cli::write_raw_f64(dir.path("in.f64"), random_smooth(Shape{32, 32}, rng));
+  std::ostringstream out;
+  EXPECT_EQ(cli::run({"compress", dir.path("in.f64"), "--shape", "32,32",
+                      "--block", "8,8", "--keep", "0.5xyz", "-o",
+                      dir.path("c.pyblaz")},
+                     out),
+            1)
+      << out.str();
+  EXPECT_NE(out.str().find("error:"), std::string::npos);
+  EXPECT_NE(out.str().find("--keep"), std::string::npos) << out.str();
 }
 
 }  // namespace

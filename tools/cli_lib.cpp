@@ -26,6 +26,21 @@ struct ParsedArgs {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// The value of numeric option --@p key.  The whole token must parse, as
+  /// parse_shape requires of each extent, so "2abc" is rejected, not read as 2.
+  double number(const std::string& key, const std::string& fallback = "") const {
+    const std::string text = get(key, fallback);
+    std::size_t consumed = 0;
+    double value = 0.0;
+    try {
+      value = std::stod(text, &consumed);
+    } catch (const std::exception&) {
+      consumed = 0;
+    }
+    if (consumed == 0 || consumed != text.size())
+      throw std::invalid_argument("bad --" + key + " value: '" + text + "'");
+    return value;
+  }
 };
 
 ParsedArgs parse_args(const std::vector<std::string>& args, std::size_t skip) {
@@ -57,7 +72,7 @@ CompressorSettings settings_from(const ParsedArgs& args) {
   settings.index_type = parse_index_type(args.get("itype", "int8"));
   settings.transform = parse_transform(args.get("transform", "dct"));
   if (args.has("keep")) {
-    const double keep = std::stod(args.get("keep"));
+    const double keep = args.number("keep");
     settings.mask = PruningMask::keep_fraction(settings.block_shape, keep);
   }
   return settings;
@@ -162,7 +177,7 @@ int command_distance(const ParsedArgs& args, std::ostream& out) {
   } else if (metric == "psnr") {
     value = ops::psnr(a, b);
   } else if (metric == "wasserstein") {
-    value = ops::wasserstein_distance(a, b, std::stod(args.get("order", "2")));
+    value = ops::wasserstein_distance(a, b, args.number("order", "2"));
   } else {
     out << "unknown metric: " << metric << "\n";
     return 2;
@@ -181,7 +196,7 @@ int command_tune(const ParsedArgs& args, std::ostream& out) {
   TuningOptions options;
   options.use_guaranteed_bound = args.has("guaranteed");
   TuningResult result =
-      tune_for_linf(sample, std::stod(args.get("target")), options);
+      tune_for_linf(sample, args.number("target"), options);
   if (!result.best) {
     out << "no settings met the target (evaluated " << result.evaluated.size()
         << " candidates)\n";
