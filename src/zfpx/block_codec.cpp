@@ -99,7 +99,9 @@ void encode_ints(BitWriter& writer, int budget, const std::uint64_t* data,
     const int m = std::min(n, bits);
     bits -= m;
     writer.put_bits(x, m);
-    x >>= m;
+    // m reaches 64 once every value of a 4x4x4 block is significant, and a
+    // 64-bit shift by 64 is undefined.
+    x = m < 64 ? x >> m : 0;
     // Group-tested remainder.
     while (n < size && bits) {
       --bits;
