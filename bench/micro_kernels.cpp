@@ -4,8 +4,7 @@
 /// compressed-space add, the fused n-ary lincomb vs the chained per-op
 /// sequence it replaces, and the expression-template front end vs the
 /// handwritten lincomb call it compiles to (expected ~zero overhead), per
-/// block shape, plus every compiled-in SIMD backend against the scalar
-/// kernels (the backends[] JSON series).
+/// block shape.
 ///
 /// Usage: bench_micro_kernels [OUTPUT.json]
 ///
@@ -26,7 +25,6 @@
 #include "blaz/blaz.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/codec/serialization.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/kernels/fast_transform.hpp"
 #include "core/kernels/rebin.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
@@ -169,40 +167,6 @@ class Harness {
     return out;
   }
 
-  /// Per-backend series: the same kernel timed under each compiled-in SIMD
-  /// backend.  Kept out of results_ so baseline diffs of the main series
-  /// never depend on which ISAs the recording host happened to have.
-  void run_backend(const std::string& name, const std::string& backend,
-                   const Shape& shape, double elements,
-                   const std::function<void()>& op) {
-    Result result{name, "", backend, shape_string(shape), time_op(op),
-                  elements};
-    std::printf("%-22s %-5s %-6s %-12s %12.1f ns/call %10.1f Melem/s\n",
-                name.c_str(), "", backend.c_str(), result.shape.c_str(),
-                result.seconds_per_call * 1e9,
-                elements / result.seconds_per_call / 1e6);
-    std::fflush(stdout);
-    backend_results_.push_back(std::move(result));
-  }
-
-  /// SIMD-over-scalar ratios for every (name, shape) with a scalar entry.
-  struct BackendSpeedup {
-    std::string name, backend, shape;
-    double speedup_over_scalar;
-  };
-  std::vector<BackendSpeedup> backend_speedups() const {
-    std::vector<BackendSpeedup> out;
-    for (const auto& r : backend_results_) {
-      if (r.impl == "scalar") continue;
-      for (const auto& base : backend_results_)
-        if (base.impl == "scalar" && base.name == r.name &&
-            base.shape == r.shape)
-          out.push_back({r.name, r.impl, r.shape,
-                         base.seconds_per_call / r.seconds_per_call});
-    }
-    return out;
-  }
-
   /// Checksummed-container series: serialize/deserialize timed for the v2
   /// (unchecksummed) and v3 (CRC32 header + per-chunk) containers, with the
   /// stream size recorded so both the time and the byte overhead of the
@@ -290,23 +254,6 @@ class Harness {
                    overheads[i].expr_over_fused,
                    i + 1 < overheads.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"backends\": [\n");
-    for (std::size_t i = 0; i < backend_results_.size(); ++i) {
-      const Result& r = backend_results_[i];
-      double speedup = 1.0;
-      for (const auto& base : backend_results_)
-        if (base.impl == "scalar" && base.name == r.name && base.shape == r.shape)
-          speedup = base.seconds_per_call / r.seconds_per_call;
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"impl\": \"%s\", \"shape\": "
-                   "\"%s\", \"seconds_per_call\": %.6e, \"elements_per_call\": "
-                   "%.0f, \"elements_per_second\": %.6e, "
-                   "\"speedup_over_scalar\": %.3f}%s\n",
-                   r.name.c_str(), r.impl.c_str(), r.shape.c_str(),
-                   r.seconds_per_call, r.elements_per_call,
-                   r.elements_per_call / r.seconds_per_call, speedup,
-                   i + 1 < backend_results_.size() ? "," : "");
-    }
     std::fprintf(f, "  ],\n  \"checksums\": [\n");
     for (std::size_t i = 0; i < checksum_results_.size(); ++i) {
       const Result& r = checksum_results_[i];
@@ -337,7 +284,6 @@ class Harness {
 
  private:
   std::vector<Result> results_;
-  std::vector<Result> backend_results_;  // impl = backend name.
   std::vector<Result> checksum_results_;  // impl = container version.
   std::vector<double> checksum_bytes_;    // Parallel to checksum_results_.
 };
@@ -402,6 +348,17 @@ void bench_rebin(Harness& harness) {
                   kernels::unbin_block(bins.data() + kb * kept, kept,
                                        biggest[static_cast<std::size_t>(kb)] / r,
                                        decoded.data() + kb * kept);
+              });
+  // The decode of a fused 4-operand compressed-space combine, over four
+  // cache-resident int8 rows.
+  const std::int8_t* rows[4] = {bins.data(), bins.data() + kept,
+                                bins.data() + 2 * kept, bins.data() + 3 * kept};
+  const double weights[4] = {1.0, -0.5, 0.25, 0.125};
+  harness.run("decode_lincomb4", "", "", row_shape,
+              static_cast<double>(num_blocks * kept), [&] {
+                for (index_t kb = 0; kb < num_blocks; ++kb)
+                  kernels::decode_lincomb(rows, weights, 4, kept,
+                                          decoded.data() + kb * kept);
               });
 }
 
@@ -547,66 +504,6 @@ void bench_threaded_codec(Harness& harness) {
   parallel::set_num_threads(0);  // Restore the CC_THREADS / hardware default.
 }
 
-/// Per-backend kernel series: the rebin-family kernels (decode_lincomb,
-/// rebin/unbin) timed through each compiled-in backend's dispatch table.
-/// Bit identity is enforced by the test suite; this series exists to keep
-/// the *speed* claim measured — the JSON records speedup_over_scalar per
-/// entry and main() warns when a SIMD backend comes out slower than scalar
-/// (warn-only: shared CI boxes are too noisy to gate on).
-void bench_backends(Harness& harness) {
-  const kernels::Backend saved = kernels::active_backend();
-  const index_t kept = 512;
-  const index_t num_blocks = 1024;
-  Rng rng(8);
-  NDArray<double> noise =
-      random_normal(Shape{num_blocks * kept}, rng, 0.0, 2.0);
-  const std::vector<double>& coeffs = noise.vector();
-  const double r = 127.0;
-  const Shape row_shape{num_blocks, kept};
-  const double row_elements = static_cast<double>(num_blocks * kept);
-
-  // Four operand rows of int8 bins plus weights: the decode_lincomb shape of
-  // a fused compressed-space combine.
-  std::vector<std::int8_t> bins(static_cast<std::size_t>(num_blocks * kept));
-  std::vector<double> biggest(static_cast<std::size_t>(num_blocks));
-  for (index_t kb = 0; kb < num_blocks; ++kb)
-    biggest[static_cast<std::size_t>(kb)] =
-        kernels::rebin_block(coeffs.data() + kb * kept, kept, r,
-                             FloatType::kFloat32, bins.data() + kb * kept);
-  const std::int8_t* rows[4] = {bins.data(), bins.data() + kept,
-                                bins.data() + 2 * kept, bins.data() + 3 * kept};
-  const double weights[4] = {1.0, -0.5, 0.25, 0.125};
-  std::vector<double> decoded(static_cast<std::size_t>(num_blocks * kept));
-
-  for (kernels::Backend backend :
-       {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
-    if (!kernels::backend_available(backend)) continue;
-    kernels::set_backend(backend);
-    const kernels::KernelTable& table = kernels::active();
-    const std::string impl = kernels::backend_name(backend);
-
-    harness.run_backend("decode_lincomb4", impl, row_shape, row_elements, [&] {
-      for (index_t kb = 0; kb < num_blocks; ++kb)
-        kernels::bins<std::int8_t>(table).decode_lincomb(
-            rows, weights, 4, kept, decoded.data() + kb * kept);
-    });
-    harness.run_backend("rebin_block", impl, row_shape, row_elements, [&] {
-      for (index_t kb = 0; kb < num_blocks; ++kb)
-        biggest[static_cast<std::size_t>(kb)] = kernels::rebin_block(
-            table, coeffs.data() + kb * kept, kept, r, FloatType::kFloat32,
-            bins.data() + kb * kept);
-    });
-    harness.run_backend("unbin_block", impl, row_shape, row_elements, [&] {
-      for (index_t kb = 0; kb < num_blocks; ++kb)
-        kernels::bins<std::int8_t>(table).unbin_block(
-            bins.data() + kb * kept,
-            kept, biggest[static_cast<std::size_t>(kb)] / r,
-            decoded.data() + kb * kept);
-    });
-  }
-  kernels::set_backend(saved);
-}
-
 /// Integrity-layer cost: serialize/deserialize through the unchecksummed v2
 /// container and the checksummed v3 default, on a 2-D and a 3-D workload.
 /// The CRC32 work is one table-driven pass over the chunk payloads inside
@@ -684,7 +581,6 @@ int main(int argc, char** argv) {
   bench_compressed_ops(harness);
   bench_fused_lincomb(harness);
   bench_threaded_codec(harness);
-  bench_backends(harness);
   bench_checksums(harness);
   bench_baseline_codecs(harness);
 
@@ -711,18 +607,6 @@ int main(int argc, char** argv) {
                  "warning: expression front end measured >10%% over the "
                  "handwritten lincomb call; expected ~zero overhead — rerun "
                  "on a quiet machine before trusting this\n");
-
-  std::printf("\nSIMD backend speedups over scalar:\n");
-  bool simd_slower = false;
-  for (const auto& s : harness.backend_speedups()) {
-    std::printf("  %-22s %-7s %-12s %6.2fx\n", s.name.c_str(),
-                s.backend.c_str(), s.shape.c_str(), s.speedup_over_scalar);
-    simd_slower |= s.speedup_over_scalar < 1.0;
-  }
-  if (simd_slower)
-    std::fprintf(stderr,
-                 "warning: a SIMD backend measured slower than scalar; "
-                 "rerun on a quiet machine before trusting this\n");
 
   std::printf("\nchecksummed container (v3 over v2):\n");
   bool checksum_suspect = false;

@@ -159,7 +159,6 @@ void BlockCursor::copy_to_roi(const double* block, index_t kb,
 void decode_block(const CompressedArray& array, const BlockTransform& transform,
                   BlockCursor& cursor, index_t kb, double* out,
                   double* scratch) {
-  const kernels::KernelTable& table = kernels::active();
   const index_t block_volume = array.block_shape.volume();
   const index_t kept = array.kept_per_block();
   const double r = static_cast<double>(array.radius());
@@ -167,7 +166,7 @@ void decode_block(const CompressedArray& array, const BlockTransform& transform,
   array.indices.visit([&](const auto* bins_data) {
     const auto* bins = bins_data + kb * kept;
     using BinT = std::remove_cvref_t<decltype(bins[0])>;
-    decode_unbin_itransform<BinT>(table, transform, bins, block_volume, kept,
+    decode_unbin_itransform<BinT>(transform, bins, block_volume, kept,
                                   array.mask.kept_offsets().data(), scale, out,
                                   scratch);
   });
@@ -177,7 +176,6 @@ void decode_block(const CompressedArray& array, const BlockTransform& transform,
 void encode_block(CompressedArray& array, const BlockTransform& transform,
                   index_t kb, const double* block, double* coeffs,
                   double* scratch) {
-  const kernels::KernelTable& table = kernels::active();
   const index_t block_volume = array.block_shape.volume();
   const index_t kept = array.kept_per_block();
   const double r = static_cast<double>(array.radius());
@@ -187,7 +185,7 @@ void encode_block(CompressedArray& array, const BlockTransform& transform,
     auto* bins = bins_data + kb * kept;
     using BinT = std::remove_reference_t<decltype(bins[0])>;
     array.biggest[static_cast<std::size_t>(kb)] = encode_transform_rebin<BinT>(
-        table, transform, coeffs, scratch, block_volume, kept,
+        transform, coeffs, scratch, block_volume, kept,
         array.mask.kept_offsets().data(), r, array.float_type, bins);
   });
 }

@@ -6,7 +6,6 @@
 
 #include "core/codec/compressed_array.hpp"
 #include "core/dtypes/float_type.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/kernels/rebin.hpp"
 #include "core/ndarray/shape.hpp"
 #include "core/telemetry/trace.hpp"
@@ -88,8 +87,7 @@ struct BlockCursor {
 /// on exit; @p bins receives the @p kept bin indices.  Returns the stored
 /// (float-rounded) biggest coefficient N_k.
 template <typename BinT>
-inline double encode_transform_rebin(const kernels::KernelTable& table,
-                                     const BlockTransform& transform,
+inline double encode_transform_rebin(const BlockTransform& transform,
                                      double* coeffs, double* scratch,
                                      index_t block_volume, index_t kept,
                                      const index_t* kept_offsets, double r,
@@ -99,13 +97,12 @@ inline double encode_transform_rebin(const kernels::KernelTable& table,
     transform.forward(coeffs, scratch);
   }
   telemetry::TraceSpan stage("codec.stage.rebin");
-  const double biggest = quantize(table.max_abs(coeffs, block_volume),
-                                  float_type);
+  if (kept == block_volume)
+    return kernels::rebin_block(coeffs, kept, r, float_type, bins);
+  const double biggest =
+      quantize(kernels::max_abs(coeffs, block_volume), float_type);
   if (biggest == 0.0) {
-    for (index_t j = 0; j < kept; ++j) bins[j] = BinT{0};
-  } else if (kept == block_volume) {
-    kernels::bins<BinT>(table).quantize_bins(coeffs, bins, kept, r / biggest,
-                                             r);
+    std::fill(bins, bins + kept, BinT{0});
   } else {
     kernels::quantize_bins_gather(coeffs, kept_offsets, bins, kept,
                                   r / biggest, r);
@@ -118,8 +115,7 @@ inline double encode_transform_rebin(const kernels::KernelTable& table,
 /// @p coeffs holds the reconstructed block values (not yet rounded through
 /// the storage float type — scatter / quantize_crop fuses that step).
 template <typename BinT>
-inline void decode_unbin_itransform(const kernels::KernelTable& table,
-                                    const BlockTransform& transform,
+inline void decode_unbin_itransform(const BlockTransform& transform,
                                     const BinT* bins, index_t block_volume,
                                     index_t kept, const index_t* kept_offsets,
                                     double scale, double* coeffs,
@@ -127,7 +123,7 @@ inline void decode_unbin_itransform(const kernels::KernelTable& table,
   {
     telemetry::TraceSpan stage("codec.stage.unbin");
     if (kept == block_volume) {
-      kernels::bins<BinT>(table).unbin_block(bins, kept, scale, coeffs);
+      kernels::unbin_block(bins, kept, scale, coeffs);
     } else {
       std::memset(coeffs, 0,
                   static_cast<std::size_t>(block_volume) * sizeof(double));

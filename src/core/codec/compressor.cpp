@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/codec/block_access.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/kernels/rebin.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/parallel/thread_pool.hpp"
@@ -95,11 +94,6 @@ CompressedArray Compressor::compress(const NDArray<double>& array,
     diagnostics->pruning_l1.assign(static_cast<std::size_t>(num_blocks), 0.0);
   }
 
-  // Backend dispatch resolved once per compress call; chunks then call
-  // through plain function pointers (gather/scatter stay scalar — they are
-  // memcpy + rounding, not worth a per-ISA kernel).
-  const kernels::KernelTable& table = kernels::active();
-
   out.indices.visit_mutable([&](auto* bins_data) {
     parallel::parallel_for(0, num_blocks, kCodecGrain, [&](index_t chunk_begin,
                                                            index_t chunk_end) {
@@ -121,8 +115,8 @@ CompressedArray Compressor::compress(const NDArray<double>& array,
         auto* bins = bins_data + kb * kept;
         using BinT = std::remove_reference_t<decltype(bins[0])>;
         const double biggest = blockio::encode_transform_rebin<BinT>(
-            table, *transform_, coeffs.data(), scratch.data(), block_volume,
-            kept, kept_offsets.data(), r, ftype, bins);
+            *transform_, coeffs.data(), scratch.data(), block_volume, kept,
+            kept_offsets.data(), r, ftype, bins);
         out.biggest[static_cast<std::size_t>(kb)] = biggest;
 
         if (diagnostics) {
@@ -192,8 +186,6 @@ NDArray<double> Compressor::decompress(const CompressedArray& array) const {
 
   NDArray<double> out(array.shape);
 
-  const kernels::KernelTable& table = kernels::active();
-
   array.indices.visit([&](const auto* bins_data) {
     parallel::parallel_for(0, num_blocks, kCodecGrain, [&](index_t chunk_begin,
                                                            index_t chunk_end) {
@@ -208,8 +200,8 @@ NDArray<double> Compressor::decompress(const CompressedArray& array) const {
         const auto* bins = bins_data + kb * kept;
         using BinT = std::remove_cvref_t<decltype(bins[0])>;
         blockio::decode_unbin_itransform<BinT>(
-            table, *transform_, bins, block_volume, kept, kept_offsets.data(),
-            scale, coeffs.data(), scratch.data());
+            *transform_, bins, block_volume, kept, kept_offsets.data(), scale,
+            coeffs.data(), scratch.data());
         // The reconstruction lives in the storage float type; the rounding is
         // fused into the scatter so cropped padding is never converted.
         telemetry::TraceSpan stage("codec.stage.scatter");

@@ -12,9 +12,9 @@ namespace pyblaz::fault {
 /// The runtime is sprinkled with *named fault sites*: a site is a call to
 /// point()/corrupt() at the place where a real-world failure would land
 /// (reading archive bytes, allocating the decode buffers, running a
-/// scheduler chunk, resolving the kernel backend).  Sites cost one relaxed
-/// atomic load when nothing is armed, so they stay compiled into release
-/// builds — CI and tests arm them via the environment or arm().
+/// scheduler chunk).  Sites cost one relaxed atomic load when nothing is
+/// armed, so they stay compiled into release builds — CI and tests arm them
+/// via the environment or arm().
 ///
 /// Arming — `CC_FAULT` (read once, at first use) or arm():
 ///

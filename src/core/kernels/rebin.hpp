@@ -9,10 +9,15 @@
 namespace pyblaz::kernels {
 
 /// The binning/unbinning hot loops (§III-A d, Algorithm 3), written once for
-/// the compressor and every compressed-space operation that rebins.  All
-/// kernels are branch-free per element, use restrict pointers, and carry
-/// `omp simd` hints; they are the single source of truth for the arithmetic
-/// so every caller quantizes bit-identically.
+/// the compressor and every compressed-space operation that rebins.  These
+/// are the only implementation: every caller quantizes bit-identically
+/// because every caller runs this code.  All kernels are branch-free per
+/// element, use restrict pointers, and carry `omp simd` hints, and the
+/// compiler vectorizes them; CMakeLists.txt sets -fno-trapping-math so that
+/// it can vectorize std::round and the float-to-int casts.  Vectorizing
+/// changes no bit: each element's operations run in source order with no
+/// FMA (-ffp-contract=off), and the one reduction is a max, which never
+/// rounds.
 
 /// max |c_j| over a contiguous coefficient row.
 inline double max_abs(const double* __restrict c, index_t count) {
@@ -148,7 +153,7 @@ inline void decode_lincomb(const BinT* const* __restrict f,
 ///
 /// Terms are flattened: output k owns terms [offsets[k], offsets[k+1]); term
 /// t reads rows[term_rows[t]] with scale scales[t].  @p decoded is caller
-/// scratch of at least num_rows * count doubles: every backend converts each
+/// scratch of at least num_rows * count doubles: the kernel converts each
 /// distinct row into decoded[d*count ..] once, then streams each output's
 /// pairwise passes over those contiguous double rows.
 ///

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/codec/workspace.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/kernels/rebin.hpp"
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
@@ -81,11 +80,6 @@ CompressedArray lincomb(std::span<const CompressedArray* const> operands,
 
   CompressedArray out = internal::make_output(first);
 
-  // Dispatch resolved once per lincomb call, outside the block loop: every
-  // chunk then calls through plain function pointers (SIMD backends are
-  // bit-identical to scalar, so results cannot depend on the host ISA).
-  const kernels::KernelTable& table = kernels::active();
-
   out.indices.visit_mutable([&](auto* out_data) {
     using BinT = std::remove_cv_t<std::remove_pointer_t<decltype(out_data)>>;
     // Layout matching guarantees one shared index type, so a single dispatch
@@ -115,12 +109,11 @@ CompressedArray lincomb(std::span<const CompressedArray* const> operands,
                   weights[i] * operands[i]->biggest[static_cast<std::size_t>(kb)] /
                   r;
             }
-            kernels::bins<BinT>(table).decode_lincomb(
-                rows.data(), scales.data(), num_operands, kept, coeffs);
+            kernels::decode_lincomb(rows.data(), scales.data(), num_operands,
+                                    kept, coeffs);
             if (bias_shift != 0.0) coeffs[0] += bias_shift;
             out.biggest[static_cast<std::size_t>(kb)] = kernels::rebin_block(
-                table, coeffs, kept, r, first.float_type,
-                out_data + kb * kept);
+                coeffs, kept, r, first.float_type, out_data + kb * kept);
           }
         });
   });

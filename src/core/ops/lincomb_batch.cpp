@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/codec/workspace.hpp"
-#include "core/kernels/backend.hpp"
+#include "core/kernels/rebin.hpp"
 #include "core/ops/ops.hpp"
 #include "core/ops/ops_internal.hpp"
 #include "core/parallel/thread_pool.hpp"
@@ -122,9 +122,6 @@ std::vector<CompressedArray> lincomb_batch(
   for (std::size_t k = 0; k < num_requests; ++k)
     results.push_back(internal::make_output(first));
 
-  // Dispatch resolved once, outside the block loop, like lincomb.
-  const kernels::KernelTable& table = kernels::active();
-
   results[0].indices.visit_mutable([&](auto* out0) {
     using BinT = std::remove_cv_t<std::remove_pointer_t<decltype(out0)>>;
     // One shared index type across operands and outputs (layout matching),
@@ -185,7 +182,7 @@ std::vector<CompressedArray> lincomb_batch(
                           term_biggest[t][static_cast<std::size_t>(kb)];
             for (std::size_t t = 0; t < total_terms; ++t)
               scales[t] = scales[t] / r;
-            kernels::bins<BinT>(table).decode_lincomb_multi(
+            kernels::decode_lincomb_multi(
                 rows.data(), num_rows, scales.data(), plan.term_rows.data(),
                 plan.offsets.data(), num_outputs, kept, decoded,
                 out_rows.data());
@@ -193,8 +190,7 @@ std::vector<CompressedArray> lincomb_batch(
               if (plan.bias_shifts[k] != 0.0)
                 out_rows[k][0] += plan.bias_shifts[k];
               results[k].biggest[static_cast<std::size_t>(kb)] =
-                  kernels::rebin_block(table, out_rows[k], kept, r,
-                                       first.float_type,
+                  kernels::rebin_block(out_rows[k], kept, r, first.float_type,
                                        out_bases[k] + kb * kept);
             }
           }

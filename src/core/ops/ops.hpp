@@ -202,7 +202,7 @@ struct LincombRequest {
 /// service layer coalesces concurrent expressions for.
 ///
 /// Outputs are bit-identical to calling ops::lincomb(requests[k]) one at a
-/// time, at any thread count, shard count, kernel backend, or cache capacity;
+/// time, at any thread count, shard count, or cache capacity;
 /// results[k] corresponds to requests[k].  Operands are deduplicated by
 /// pointer — two requests share a decode only when they reference the same
 /// CompressedArray object.  Batches of one request, or batches whose

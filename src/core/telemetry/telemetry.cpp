@@ -149,7 +149,7 @@ class Registry {
 namespace {
 
 /// CC_STATS atexit hook: resolved once at static-init time so the policy
-/// warning (bad value) appears exactly once, early, like CC_KERNEL_BACKEND.
+/// warning (bad value) appears exactly once, early.
 ///
 /// The policy is heap-allocated and leaked on purpose.  atexit handlers and
 /// static destructors share one reverse-order stack, and this object's

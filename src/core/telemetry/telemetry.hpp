@@ -209,9 +209,9 @@ Snapshot snapshot();
 
 namespace internal {
 
-/// Shared CC_STATS / CC_TRACE sink policy, mirroring CC_KERNEL_BACKEND:
-/// a bad value (here: empty) warns once and disables the feature rather
-/// than guessing.  "stderr" is the only non-path spelling.
+/// Shared CC_STATS / CC_TRACE sink policy, the same as CC_FAULT's: a bad
+/// value (here: empty) warns once and disables the feature rather than
+/// guessing.  "stderr" is the only non-path spelling.
 enum class SinkKind { kDisabled, kStderr, kFile };
 struct SinkPolicy {
   SinkKind kind = SinkKind::kDisabled;
@@ -223,8 +223,7 @@ struct SinkPolicy {
 SinkPolicy parse_sink_env(const char* value);
 
 /// Write @p policy's sink: stderr or the named file.  Unopenable paths warn
-/// to stderr and return false (policy mirror of a bad CC_KERNEL_BACKEND:
-/// never fatal, never silent).
+/// to stderr and return false: never fatal, never silent.
 bool write_to_sink(const SinkPolicy& policy, const std::string& text,
                    const char* what);
 

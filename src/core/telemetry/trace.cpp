@@ -102,8 +102,8 @@ void enable_locked(TraceState& s, SinkPolicy sink) {
   internal::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
-/// CC_TRACE resolved once at static init, mirroring CC_KERNEL_BACKEND: a bad
-/// (empty) value warns and leaves tracing off rather than guessing a path.
+/// CC_TRACE resolved once at static init, like CC_STATS: a bad (empty) value
+/// warns and leaves tracing off rather than guessing a path.
 struct TraceEnvInit {
   TraceEnvInit() {
     const SinkPolicy policy =

@@ -2,11 +2,10 @@
 /// unlocks: CC_FAULT grammar round-trips through arm(), corruption replays
 /// byte-identically from its seed, injected allocation failures and chunk
 /// exceptions surface as typed cc::Error without poisoning the scheduler,
-/// deadlines cancel stalled regions and leave the pool reusable, and a
-/// faulted kernel-backend dispatch demotes to the scalar oracle instead of
-/// crashing.  The FaultEnv suite runs only under the `fault_env_corruption`
-/// ctest leg, which arms CC_FAULT=serialize.output:flip=2,seed=11 through
-/// the environment path.
+/// and deadlines cancel stalled regions and leave the pool reusable.  The
+/// FaultEnv suite runs only under the `fault_env_corruption` ctest leg,
+/// which arms CC_FAULT=serialize.output:flip=2,seed=11 through the
+/// environment path.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +22,6 @@
 #include "core/codec/serialization.hpp"
 #include "core/error/error.hpp"
 #include "core/fault/fault.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/parallel/thread_pool.hpp"
 #include "core/telemetry/telemetry.hpp"
@@ -455,35 +453,6 @@ TEST(Deadline, GenerousDeadlineIsANoOp) {
   for (index_t k = 0; k < kElems; ++k)
     ASSERT_EQ(out[static_cast<std::size_t>(k)], static_cast<double>(3 * k));
   EXPECT_EQ(exceeded.value(), before);
-}
-
-// --------------------------------------------------- kernel-backend demotion
-
-TEST(Fault, BackendDispatchFaultDemotesToScalarAndStaysCorrect) {
-  FaultGuard guard;
-  const kernels::Backend before = kernels::active_backend();
-
-  // Reference archive from the healthy backend; bit-identity across backends
-  // is the existing contract, so the demoted run must reproduce it exactly.
-  const CompressedArray array = small_archive_source();
-  const std::vector<std::uint8_t> reference = serialize(array);
-
-  telemetry::Counter& fallbacks =
-      telemetry::counter("backend.dispatch_fallback");
-  const std::uint64_t fallbacks_before = fallbacks.value();
-
-  ASSERT_TRUE(fault::arm("backend.dispatch:throw,nth=0"));
-  (void)kernels::active();  // Dispatch faults exactly once, is swallowed.
-  EXPECT_EQ(kernels::active_backend(), kernels::Backend::kScalar);
-  EXPECT_EQ(fallbacks.value(), fallbacks_before + 1);
-
-  // Degraded, not broken: the scalar oracle produces the same archive.
-  const std::vector<std::uint8_t> demoted = serialize(small_archive_source());
-  EXPECT_EQ(demoted, reference);
-
-  fault::disarm_all();
-  EXPECT_TRUE(kernels::set_backend(before));
-  EXPECT_EQ(kernels::active_backend(), before);
 }
 
 // ------------------------------------------------------- CC_FAULT environment

@@ -2,9 +2,11 @@
 /// doubles for a seeded corpus, pinned as literals.  Round-trip tests cannot
 /// see a symmetric change to writer and reader, or a kernel change that
 /// moves every result by an ulp; this table can.  Each case runs every float
-/// type x index type, re-encodes under every available kernel backend at 1
-/// and 4 threads, and re-reads the full array through decompress_roi with
-/// the decoded-block cache off and on.  Every digest must match the table.
+/// type x index type, encodes at 1 and 4 threads, and re-reads the full
+/// array through decompress_roi with the decoded-block cache off and on.
+/// Every digest must match the table.  The kernels are compiler-vectorized
+/// for whatever ISA the build targets, so a native and a portable build
+/// must both reproduce it.
 ///
 /// The corpus is built from Rng::uniform with + - * only, so its bytes do
 /// not depend on the host's libm.  The shapes cover both transform arms:
@@ -29,7 +31,6 @@
 #include "core/cache/block_cache.hpp"
 #include "core/codec/compressor.hpp"
 #include "core/codec/serialization.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/ops/ops.hpp"
 #include "core/parallel/thread_pool.hpp"
 #include "core/util/checksum.hpp"
@@ -117,12 +118,10 @@ std::string format_row(const DigestRow& row) {
   return s + "}}},";
 }
 
-/// Restores the backend, thread count and default cache capacity.
+/// Restores the thread count and default cache capacity.
 struct ConfigGuard {
-  kernels::Backend backend = kernels::active_backend();
   index_t capacity = cache::default_capacity_blocks();
   ~ConfigGuard() {
-    kernels::set_backend(backend);
     parallel::set_num_threads(0);
     cache::set_default_capacity(capacity);
   }
@@ -249,11 +248,6 @@ TEST_P(GoldenArchive, DigestsMatchUnderEveryBackendThreadCountAndCache) {
   ConfigGuard guard;
   const NDArray<double> input = corpus(c.shape, c.seed);
 
-  std::vector<kernels::Backend> backends;
-  for (kernels::Backend b :
-       {kernels::Backend::kScalar, kernels::Backend::kAvx2})
-    if (kernels::backend_available(b)) backends.push_back(b);
-
   DigestRow computed{};
   for (std::size_t fi = 0; fi < kFloatTypes.size(); ++fi) {
     for (std::size_t ii = 0; ii < kIndexTypes.size(); ++ii) {
@@ -268,32 +262,28 @@ TEST_P(GoldenArchive, DigestsMatchUnderEveryBackendThreadCountAndCache) {
       const std::size_t slot = fi * kIndexTypes.size() + ii;
       const std::vector<index_t> origin(c.shape.dims().size(), 0);
 
-      for (kernels::Backend backend : backends) {
-        ASSERT_TRUE(kernels::set_backend(backend));
-        for (int threads : {1, 4}) {
-          parallel::set_num_threads(threads);
-          const std::string where = name(kFloatTypes[fi]) + "/" +
-                                    name(kIndexTypes[ii]) + " " +
-                                    kernels::backend_name(backend) + " t" +
-                                    std::to_string(threads);
-          const std::vector<std::uint8_t> archive =
-              serialize(compressor.compress(input));
-          const std::uint32_t values =
-              values_crc(compressor.decompress(deserialize(archive)));
-          computed[slot] = {crc32(archive), values};
-          EXPECT_EQ(hex(computed[slot][0]), hex(c.digests[slot][0]))
-              << "archive " << where;
-          EXPECT_EQ(hex(values), hex(c.digests[slot][1])) << "values " << where;
+      for (int threads : {1, 4}) {
+        parallel::set_num_threads(threads);
+        const std::string where = name(kFloatTypes[fi]) + "/" +
+                                  name(kIndexTypes[ii]) + " t" +
+                                  std::to_string(threads);
+        const std::vector<std::uint8_t> archive =
+            serialize(compressor.compress(input));
+        const std::uint32_t values =
+            values_crc(compressor.decompress(deserialize(archive)));
+        computed[slot] = {crc32(archive), values};
+        EXPECT_EQ(hex(computed[slot][0]), hex(c.digests[slot][0]))
+            << "archive " << where;
+        EXPECT_EQ(hex(values), hex(c.digests[slot][1])) << "values " << where;
 
-          // Random access over the whole array, cache off and on, reads the
-          // same values as the full decompress.
-          for (index_t capacity : {index_t{0}, index_t{64}}) {
-            cache::set_default_capacity(capacity);
-            const NDArray<double> roi =
-                deserialize(archive).decompress_roi(origin, c.shape.dims());
-            EXPECT_EQ(hex(values_crc(roi)), hex(values))
-                << "decompress_roi " << where << " cache " << capacity;
-          }
+        // Random access over the whole array, cache off and on, reads the
+        // same values as the full decompress.
+        for (index_t capacity : {index_t{0}, index_t{64}}) {
+          cache::set_default_capacity(capacity);
+          const NDArray<double> roi =
+              deserialize(archive).decompress_roi(origin, c.shape.dims());
+          EXPECT_EQ(hex(values_crc(roi)), hex(values))
+              << "decompress_roi " << where << " cache " << capacity;
         }
       }
     }

@@ -2,11 +2,18 @@
 /// with the dense matrix path (the oracle) to <= 1e-12, the fused
 /// gather/quantize/transform/rebin compressor pipeline must be bit-identical
 /// to an unfused reimplementation of the seed's step-by-step flow, and the
-/// shared rebin/unbin kernels must match their scalar definitions exactly.
+/// shared rebin/unbin kernels must match their scalar definitions exactly:
+/// a whole row, which runs the compiler-vectorized loop body, must equal
+/// the same kernel applied one element at a time.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "core/blocking/blocking.hpp"
@@ -476,6 +483,296 @@ TEST(RebinKernels, QuantizeBlockMatchesElementwiseQuantize) {
       EXPECT_EQ(fused[static_cast<std::size_t>(j)], quantize(noise[j], ft))
           << name(ft) << " element " << j;
   }
+}
+
+// ------------------------------------ vectorized rows vs per-element results
+//
+// The compiler vectorizes the rebin kernels' loop bodies; a call of count 1
+// runs none of that vector code.  So every whole-row call must equal the
+// same kernel applied one element at a time, bit for bit, at lengths around
+// every vector width, with adversarial inputs: NaN, inf, exact half-bin
+// boundaries, denormals and clamp overshoots.
+
+/// Bitwise double equality (NaN payloads included): the contract is bit
+/// identity, not numeric closeness.
+::testing::AssertionResult BitEqual(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a << " != " << b << " (bits " << std::hex
+         << std::bit_cast<std::uint64_t>(a) << " vs "
+         << std::bit_cast<std::uint64_t>(b) << ")";
+}
+
+/// Coefficient-like doubles with adversarial structure: smooth values, exact
+/// half-bin boundaries, clamp overshoots, signed zeros, denormals, huge
+/// magnitudes, and (when @p with_nan) NaN/inf.
+std::vector<double> adversarial_doubles(index_t count, std::uint64_t seed,
+                                        bool with_nan) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> uniform(-3.0, 3.0);
+  std::vector<double> out(static_cast<std::size_t>(count));
+  for (index_t j = 0; j < count; ++j) {
+    switch (rng() % 8) {
+      case 0:
+        out[j] = uniform(rng);
+        break;
+      case 1:  // Exact half-away rounding boundary.
+        out[j] = (static_cast<double>(rng() % 201) - 100.0) + 0.5;
+        break;
+      case 2:  // Clamp overshoot.
+        out[j] = (rng() % 2 ? 1.0 : -1.0) * (300.0 + uniform(rng));
+        break;
+      case 3:
+        out[j] = rng() % 2 ? 0.0 : -0.0;
+        break;
+      case 4:
+        out[j] = uniform(rng) * 1e-300;
+        break;
+      case 5:
+        out[j] = uniform(rng) * 1e12;
+        break;
+      case 6:
+        out[j] = with_nan && (rng() % 4 == 0)
+                     ? std::numeric_limits<double>::quiet_NaN()
+                     : uniform(rng);
+        break;
+      default:
+        out[j] = with_nan && (rng() % 4 == 0)
+                     ? (rng() % 2 ? 1.0 : -1.0) *
+                           std::numeric_limits<double>::infinity()
+                     : uniform(rng);
+        break;
+    }
+  }
+  return out;
+}
+
+/// Odd lengths around the vector widths so every tail path runs.
+const index_t kCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 67, 256, 261};
+
+TEST(RebinKernels, MaxAbsWholeRowMatchesPerElementFold) {
+  for (index_t count : kCounts) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      const std::vector<double> c =
+          adversarial_doubles(count, 1000 + seed, /*with_nan=*/seed % 2 == 1);
+      // std::max drops a NaN |c_j|: the fold keeps the running maximum.
+      double folded = 0.0;
+      for (index_t j = 0; j < count; ++j)
+        folded = std::max(folded, kernels::max_abs(&c[j], 1));
+      EXPECT_TRUE(BitEqual(kernels::max_abs(c.data(), count), folded))
+          << "count " << count << " seed " << seed;
+    }
+  }
+}
+
+template <typename BinT>
+void check_rebin_family() {
+  const double radii[] = {
+      1.0, 100.0,
+      std::min(static_cast<double>(std::numeric_limits<BinT>::max()), 0x1p53)};
+  for (index_t count : kCounts) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const std::vector<double> c =
+          adversarial_doubles(count, 7000 + seed, /*with_nan=*/seed == 3);
+      const double biggest = kernels::max_abs(c.data(), count);
+      for (double r : radii) {
+        // quantize_bins: inv chosen like the codec does (r / biggest).
+        const double inv = biggest > 0.0 ? r / biggest : 1.0;
+        std::vector<BinT> bins(static_cast<std::size_t>(count));
+        kernels::quantize_bins(c.data(), bins.data(), count, inv, r);
+        for (index_t j = 0; j < count; ++j) {
+          BinT one{};
+          kernels::quantize_bins(&c[j], &one, 1, inv, r);
+          ASSERT_EQ(bins[j], one)
+              << "quantize count " << count << " r " << r << " j " << j;
+          // The definition, where the cast is defined (not NaN).
+          const double scaled = c[j] * inv;
+          if (!std::isnan(scaled))
+            ASSERT_EQ(static_cast<double>(one),
+                      std::clamp(std::round(scaled), -r, r))
+                << "definition count " << count << " r " << r << " j " << j;
+        }
+
+        // unbin_block on those bins.
+        std::vector<double> back(static_cast<std::size_t>(count));
+        const double scale = biggest > 0.0 ? biggest / r : 0.25;
+        kernels::unbin_block(bins.data(), count, scale, back.data());
+        for (index_t j = 0; j < count; ++j) {
+          double one = 0.0;
+          kernels::unbin_block(&bins[j], 1, scale, &one);
+          ASSERT_TRUE(BitEqual(back[j], one))
+              << "unbin count " << count << " j " << j;
+        }
+
+        // rebin_block: max, round the max through float32, quantize.
+        std::vector<BinT> rebinned(static_cast<std::size_t>(count));
+        const double stored = kernels::rebin_block(
+            c.data(), count, r, FloatType::kFloat32, rebinned.data());
+        ASSERT_TRUE(BitEqual(stored, quantize(biggest, FloatType::kFloat32)));
+        for (index_t j = 0; j < count; ++j) {
+          BinT one{};
+          if (stored != 0.0)
+            kernels::quantize_bins(&c[j], &one, 1, r / stored, r);
+          ASSERT_EQ(rebinned[j], one)
+              << "rebin count " << count << " r " << r << " j " << j;
+        }
+      }
+    }
+  }
+  // All-zero block: the zero-fill path.
+  std::vector<double> zeros(9, 0.0);
+  std::vector<BinT> bins_out(9, BinT{42});
+  const double biggest = kernels::rebin_block(zeros.data(), 9, 100.0,
+                                              FloatType::kFloat32,
+                                              bins_out.data());
+  EXPECT_EQ(biggest, 0.0);
+  for (BinT b : bins_out) EXPECT_EQ(b, BinT{0});
+}
+
+TEST(RebinKernels, RebinFamilyWholeRowMatchesPerElementInt8) {
+  check_rebin_family<std::int8_t>();
+}
+TEST(RebinKernels, RebinFamilyWholeRowMatchesPerElementInt16) {
+  check_rebin_family<std::int16_t>();
+}
+TEST(RebinKernels, RebinFamilyWholeRowMatchesPerElementInt32) {
+  check_rebin_family<std::int32_t>();
+}
+TEST(RebinKernels, RebinFamilyWholeRowMatchesPerElementInt64) {
+  check_rebin_family<std::int64_t>();
+}
+
+/// @p operands random bin rows of @p count values in [-bound, bound].
+template <typename BinT>
+std::vector<std::vector<BinT>> random_bin_rows(index_t operands, index_t count,
+                                               std::int64_t bound,
+                                               std::mt19937_64& rng) {
+  std::vector<std::vector<BinT>> rows(static_cast<std::size_t>(operands));
+  for (auto& row : rows) {
+    row.resize(static_cast<std::size_t>(count));
+    for (auto& b : row)
+      b = static_cast<BinT>(static_cast<std::int64_t>(rng()) % (bound + 1));
+  }
+  return rows;
+}
+
+/// decode_lincomb at 1..7 operands: the whole row against the same call
+/// made one element at a time.
+template <typename BinT>
+void check_decode_lincomb() {
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> weight(-2.0, 2.0);
+  for (index_t count : kCounts) {
+    for (index_t operands = 1; operands <= 7; ++operands) {
+      const auto rows = random_bin_rows<BinT>(operands, count, 127, rng);
+      std::vector<const BinT*> row_ptrs;
+      std::vector<double> scales;
+      for (const auto& row : rows) {
+        row_ptrs.push_back(row.data());
+        scales.push_back(weight(rng));
+      }
+      std::vector<double> out(static_cast<std::size_t>(count));
+      kernels::decode_lincomb(row_ptrs.data(), scales.data(), operands, count,
+                              out.data());
+      for (index_t j = 0; j < count; ++j) {
+        std::vector<const BinT*> element_ptrs;
+        for (const auto& row : rows) element_ptrs.push_back(&row[j]);
+        double one = 0.0;
+        kernels::decode_lincomb(element_ptrs.data(), scales.data(), operands, 1,
+                                &one);
+        ASSERT_TRUE(BitEqual(out[j], one))
+            << "operands " << operands << " count " << count << " j " << j;
+      }
+    }
+  }
+}
+
+TEST(RebinKernels, DecodeLincombWholeRowMatchesPerElementInt8) {
+  check_decode_lincomb<std::int8_t>();
+}
+TEST(RebinKernels, DecodeLincombWholeRowMatchesPerElementInt16) {
+  check_decode_lincomb<std::int16_t>();
+}
+TEST(RebinKernels, DecodeLincombWholeRowMatchesPerElementInt32) {
+  check_decode_lincomb<std::int32_t>();
+}
+TEST(RebinKernels, DecodeLincombWholeRowMatchesPerElementInt64) {
+  check_decode_lincomb<std::int64_t>();
+}
+
+/// decode_lincomb_multi against decode_lincomb run on each output's own term
+/// list.  "shared" output k reads rows {0, 1, 2, 3 + k} (odd k repeat row 0,
+/// so even and odd arities both occur); "disjoint" output k reads k + 1 rows
+/// no other output touches.
+template <typename BinT>
+void check_decode_lincomb_multi() {
+  std::mt19937_64 rng(5151);
+  std::uniform_real_distribution<double> weight(-2.0, 2.0);
+  const std::int64_t bound = std::min<std::int64_t>(
+      std::numeric_limits<BinT>::max(), std::numeric_limits<std::int32_t>::max());
+  for (index_t count : kCounts) {
+    for (index_t outputs : {1, 2, 4}) {
+      for (bool shared : {true, false}) {
+        std::vector<index_t> term_rows;
+        std::vector<index_t> offsets = {0};
+        index_t num_rows = shared ? 3 + outputs : 0;
+        for (index_t k = 0; k < outputs; ++k) {
+          if (shared) {
+            term_rows.insert(term_rows.end(), {0, 1, 2, 3 + k});
+            if (k % 2 == 1) term_rows.push_back(0);
+          } else {
+            for (index_t i = 0; i <= k; ++i) term_rows.push_back(num_rows++);
+          }
+          offsets.push_back(static_cast<index_t>(term_rows.size()));
+        }
+        const auto rows = random_bin_rows<BinT>(num_rows, count, bound, rng);
+        std::vector<const BinT*> row_ptrs;
+        for (const auto& row : rows) row_ptrs.push_back(row.data());
+        std::vector<double> scales(term_rows.size());
+        for (double& scale : scales) scale = weight(rng);
+        std::vector<double> decoded(static_cast<std::size_t>(num_rows * count));
+        std::vector<std::vector<double>> outs(
+            static_cast<std::size_t>(outputs),
+            std::vector<double>(static_cast<std::size_t>(count)));
+        std::vector<double*> out_ptrs;
+        for (auto& out : outs) out_ptrs.push_back(out.data());
+        kernels::decode_lincomb_multi(
+            row_ptrs.data(), num_rows, scales.data(), term_rows.data(),
+            offsets.data(), outputs, count, decoded.data(), out_ptrs.data());
+
+        for (index_t k = 0; k < outputs; ++k) {
+          std::vector<const BinT*> own_rows;
+          std::vector<double> own_scales;
+          for (index_t term = offsets[k]; term < offsets[k + 1]; ++term) {
+            own_rows.push_back(row_ptrs[term_rows[term]]);
+            own_scales.push_back(scales[term]);
+          }
+          std::vector<double> ref(static_cast<std::size_t>(count));
+          kernels::decode_lincomb(own_rows.data(), own_scales.data(),
+                                  static_cast<index_t>(own_rows.size()), count,
+                                  ref.data());
+          for (index_t j = 0; j < count; ++j)
+            ASSERT_TRUE(BitEqual(outs[k][j], ref[j]))
+                << (shared ? "shared" : "disjoint") << " outputs " << outputs
+                << " output " << k << " count " << count << " j " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(RebinKernels, DecodeLincombMultiMatchesPerOutputDecodeLincombInt8) {
+  check_decode_lincomb_multi<std::int8_t>();
+}
+TEST(RebinKernels, DecodeLincombMultiMatchesPerOutputDecodeLincombInt16) {
+  check_decode_lincomb_multi<std::int16_t>();
+}
+TEST(RebinKernels, DecodeLincombMultiMatchesPerOutputDecodeLincombInt32) {
+  check_decode_lincomb_multi<std::int32_t>();
+}
+TEST(RebinKernels, DecodeLincombMultiMatchesPerOutputDecodeLincombInt64) {
+  check_decode_lincomb_multi<std::int64_t>();
 }
 
 // ------------------------------------------ streaming add_scalar equivalence

@@ -3,7 +3,7 @@
 /// pass — each distinct operand's bin row decoded once per block through
 /// kernels::decode_lincomb_multi — and every output must be bit-identical to
 /// evaluating its expression alone, across shapes, dtypes, arities, thread
-/// counts, kernel backends, and cache capacities.  Also pins
+/// counts, and cache capacities.  Also pins
 /// the operand-dedup accounting (telemetry counters), the K-rebins-per-batch
 /// contract, the sequential fallback, and clean behavior around the
 /// cache.fill.alloc fault site.
@@ -19,7 +19,6 @@
 #include "core/codec/compressor.hpp"
 #include "core/error/error.hpp"
 #include "core/fault/fault.hpp"
-#include "core/kernels/backend.hpp"
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/expr.hpp"
 #include "core/ops/ops.hpp"
@@ -29,8 +28,6 @@
 
 namespace pyblaz {
 namespace {
-
-using kernels::Backend;
 
 CompressorSettings settings_for(Shape block,
                                 FloatType ftype = FloatType::kFloat32,
@@ -111,11 +108,6 @@ struct AcceptanceBatch {
 
 struct ParallelGuard {
   ~ParallelGuard() { parallel::set_num_threads(0); }
-};
-
-struct BackendGuard {
-  Backend saved = kernels::active_backend();
-  ~BackendGuard() { kernels::set_backend(saved); }
 };
 
 struct CacheGuard {
@@ -201,31 +193,6 @@ TEST(LincombBatch, BatchMatchesSequentialAcrossThreads) {
       expect_bit_identical(batched[k], reference[k],
                            "threads=" + std::to_string(threads) + " output " +
                                std::to_string(k));
-  }
-}
-
-TEST(LincombBatch, BatchBitIdenticalAcrossBackends) {
-  BackendGuard guard;
-  AcceptanceBatch batch(settings_for(Shape{8, 8}), Shape{40, 24}, 13);
-  ASSERT_TRUE(kernels::set_backend(Backend::kScalar));
-  const std::vector<CompressedArray> reference =
-      sequential_eval(batch.requests);
-  for (Backend backend : {Backend::kScalar, Backend::kAvx2}) {
-    if (!kernels::backend_available(backend)) continue;
-    ASSERT_TRUE(kernels::set_backend(backend));
-    const std::vector<CompressedArray> batched =
-        ops::lincomb_batch(batch.requests);
-    const std::vector<CompressedArray> sequential =
-        sequential_eval(batch.requests);
-    ASSERT_EQ(batched.size(), reference.size());
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      const std::string label = std::string("backend ") +
-                                kernels::backend_name(backend) + " output " +
-                                std::to_string(k);
-      expect_bit_identical(batched[k], reference[k], label + " (vs scalar)");
-      expect_bit_identical(sequential[k], reference[k],
-                           label + " (sequential vs scalar)");
-    }
   }
 }
 

@@ -5,8 +5,8 @@
 /// concurrent writers (sharding is a performance trick, never a correctness
 /// one), quantiles are exact for bucket-boundary samples, the flushed trace
 /// is structurally well-formed with balanced begin/end pairs, bad env values
-/// disable rather than guess (mirroring CC_KERNEL_BACKEND), and the disabled
-/// hot path allocates nothing.
+/// disable rather than guess (like CC_FAULT and CC_CACHE_BLOCKS), and the
+/// disabled hot path allocates nothing.
 ///
 /// This translation unit replaces the global allocator with a counting
 /// forwarder (all variants, including aligned and nothrow) so the

@@ -6,7 +6,7 @@ Usage:
 
 The committed BENCH_kernels.json baseline is produced by four binaries:
 bench_micro_kernels writes the kernel sections (results/speedups/
-fusion_speedups/expr_overheads plus the per-SIMD-backend backends[] series),
+fusion_speedups/expr_overheads/checksums/checksum_overheads),
 bench_multi_client writes concurrency[], bench_block_cache writes the
 decoded-block cache[] series, and bench_lincomb_batch writes the batched
 expression-evaluation batch[] series (identified by name/impl/shape, merged
