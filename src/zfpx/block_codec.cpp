@@ -27,14 +27,26 @@ void fwd_lift(std::int64_t* p, int s) {
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
+/// a + b and a - b with two's-complement wraparound.  A corrupt stream can
+/// decode to integers whose inverse lift leaves int64, where signed overflow
+/// is undefined; a valid stream never wraps, so its values are unchanged.
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// Exact inverse of fwd_lift.
 void inv_lift(std::int64_t* p, int s) {
   std::int64_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
-  y += w; w <<= 1; w -= y;
-  z += x; x <<= 1; x -= z;
-  y += z; z <<= 1; z -= y;
-  w += x; x <<= 1; x -= w;
+  y = wrap_add(y, w >> 1); w = wrap_sub(w, y >> 1);
+  y = wrap_add(y, w); w <<= 1; w = wrap_sub(w, y);
+  z = wrap_add(z, x); x <<= 1; x = wrap_sub(x, z);
+  y = wrap_add(y, z); z <<= 1; z = wrap_sub(z, y);
+  w = wrap_add(w, x); x <<= 1; x = wrap_sub(x, w);
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
