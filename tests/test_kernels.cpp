@@ -588,10 +588,11 @@ void check_rebin_family() {
               << "quantize count " << count << " r " << r << " j " << j;
           // The definition, where the cast is defined (not NaN).
           const double scaled = c[j] * inv;
-          if (!std::isnan(scaled))
+          if (!std::isnan(scaled)) {
             ASSERT_EQ(static_cast<double>(one),
                       std::clamp(std::round(scaled), -r, r))
                 << "definition count " << count << " r " << r << " j " << j;
+          }
         }
 
         // unbin_block on those bins.
