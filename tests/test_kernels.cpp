@@ -4,7 +4,9 @@
 /// to an unfused reimplementation of the seed's step-by-step flow, and the
 /// shared rebin/unbin kernels must match their scalar definitions exactly:
 /// a whole row, which runs the compiler-vectorized loop body, must equal
-/// the same kernel applied one element at a time.
+/// the same kernel applied one element at a time.  The results of
+/// ops::lincomb and ops::lincomb_batch must equal an inline restatement of
+/// their decode and rebin that calls no kernel.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +14,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <random>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/blocking/blocking.hpp"
@@ -25,6 +32,7 @@
 #include "core/ndarray/ndarray_ops.hpp"
 #include "core/ops/ops.hpp"
 #include "core/ops/ops_internal.hpp"
+#include "core/parallel/thread_pool.hpp"
 #include "core/util/rng.hpp"
 
 namespace pyblaz {
@@ -774,6 +782,504 @@ TEST(RebinKernels, DecodeLincombMultiMatchesPerOutputDecodeLincombInt32) {
 }
 TEST(RebinKernels, DecodeLincombMultiMatchesPerOutputDecodeLincombInt64) {
   check_decode_lincomb_multi<std::int64_t>();
+}
+
+/// Largest bin magnitude the codec stores for @p BinT: the radius, capped at
+/// 2^53 so every bin converts to double exactly.
+template <typename BinT>
+std::int64_t bin_bound() {
+  return std::min<std::int64_t>(std::numeric_limits<BinT>::max(),
+                                std::int64_t{1} << 53);
+}
+
+/// @p kept distinct positions of a block of @p volume coefficients, in a
+/// random order, so a gather or scatter over them is not monotonic.
+std::vector<index_t> random_selection(index_t volume, index_t kept,
+                                      std::mt19937_64& rng) {
+  std::vector<index_t> offsets(static_cast<std::size_t>(volume));
+  std::iota(offsets.begin(), offsets.end(), index_t{0});
+  std::shuffle(offsets.begin(), offsets.end(), rng);
+  offsets.resize(static_cast<std::size_t>(kept));
+  return offsets;
+}
+
+/// quantize_bins_gather over a pruned selection: the whole selection must
+/// equal per-slot calls and quantize_bins over the gathered row.
+template <typename BinT>
+void check_quantize_bins_gather() {
+  std::mt19937_64 rng(6161);
+  const double radii[] = {1.0, 100.0, static_cast<double>(bin_bound<BinT>())};
+  for (index_t count : kCounts) {
+    const index_t volume = 2 * count + 3;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const std::vector<double> c =
+          adversarial_doubles(volume, 8000 + seed, /*with_nan=*/seed == 3);
+      const std::vector<index_t> offsets = random_selection(volume, count, rng);
+      std::vector<double> gathered(static_cast<std::size_t>(count));
+      for (index_t slot = 0; slot < count; ++slot)
+        gathered[slot] = c[offsets[slot]];
+      const double biggest = kernels::max_abs(c.data(), volume);
+      for (double r : radii) {
+        const double inv = biggest > 0.0 ? r / biggest : 1.0;
+        std::vector<BinT> bins(static_cast<std::size_t>(count));
+        kernels::quantize_bins_gather(c.data(), offsets.data(), bins.data(),
+                                      count, inv, r);
+        std::vector<BinT> contiguous(static_cast<std::size_t>(count));
+        kernels::quantize_bins(gathered.data(), contiguous.data(), count, inv,
+                               r);
+        ASSERT_EQ(bins, contiguous) << "count " << count << " r " << r;
+        for (index_t slot = 0; slot < count; ++slot) {
+          BinT one{};
+          kernels::quantize_bins_gather(c.data(), &offsets[slot], &one, 1, inv,
+                                        r);
+          ASSERT_EQ(bins[slot], one)
+              << "count " << count << " r " << r << " slot " << slot;
+          const double scaled = gathered[slot] * inv;
+          if (!std::isnan(scaled)) {
+            ASSERT_EQ(static_cast<double>(one),
+                      std::clamp(std::round(scaled), -r, r))
+                << "definition count " << count << " r " << r << " slot "
+                << slot;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RebinKernels, QuantizeBinsGatherWholeRowMatchesPerElementInt8) {
+  check_quantize_bins_gather<std::int8_t>();
+}
+TEST(RebinKernels, QuantizeBinsGatherWholeRowMatchesPerElementInt16) {
+  check_quantize_bins_gather<std::int16_t>();
+}
+TEST(RebinKernels, QuantizeBinsGatherWholeRowMatchesPerElementInt32) {
+  check_quantize_bins_gather<std::int32_t>();
+}
+TEST(RebinKernels, QuantizeBinsGatherWholeRowMatchesPerElementInt64) {
+  check_quantize_bins_gather<std::int64_t>();
+}
+
+/// unbin_scatter over a pruned selection: the whole selection must equal
+/// per-slot calls and unbin_block's contiguous row, and must leave every
+/// pruned position as it was.
+template <typename BinT>
+void check_unbin_scatter() {
+  std::mt19937_64 rng(6262);
+  std::uniform_real_distribution<double> weight(-2.0, 2.0);
+  const double untouched = -7.5;
+  for (index_t count : kCounts) {
+    const index_t volume = 2 * count + 3;
+    const std::vector<index_t> offsets = random_selection(volume, count, rng);
+    const std::vector<BinT> bins =
+        random_bin_rows<BinT>(1, count, bin_bound<BinT>(), rng)[0];
+    for (double scale : {weight(rng), 0.0, 0x1p-1000}) {
+      std::vector<double> c(static_cast<std::size_t>(volume), untouched);
+      kernels::unbin_scatter(bins.data(), offsets.data(), count, scale,
+                             c.data());
+      std::vector<double> one_by_one(static_cast<std::size_t>(volume),
+                                     untouched);
+      for (index_t slot = 0; slot < count; ++slot)
+        kernels::unbin_scatter(&bins[slot], &offsets[slot], 1, scale,
+                               one_by_one.data());
+      std::vector<double> row(static_cast<std::size_t>(count));
+      kernels::unbin_block(bins.data(), count, scale, row.data());
+      std::vector<double> expected(static_cast<std::size_t>(volume),
+                                   untouched);
+      for (index_t slot = 0; slot < count; ++slot)
+        expected[offsets[slot]] = row[slot];
+      for (index_t p = 0; p < volume; ++p) {
+        ASSERT_TRUE(BitEqual(c[p], one_by_one[p]))
+            << "count " << count << " scale " << scale << " position " << p;
+        ASSERT_TRUE(BitEqual(c[p], expected[p]))
+            << "count " << count << " scale " << scale << " position " << p;
+      }
+    }
+  }
+}
+
+TEST(RebinKernels, UnbinScatterWholeRowMatchesPerElementInt8) {
+  check_unbin_scatter<std::int8_t>();
+}
+TEST(RebinKernels, UnbinScatterWholeRowMatchesPerElementInt16) {
+  check_unbin_scatter<std::int16_t>();
+}
+TEST(RebinKernels, UnbinScatterWholeRowMatchesPerElementInt32) {
+  check_unbin_scatter<std::int32_t>();
+}
+TEST(RebinKernels, UnbinScatterWholeRowMatchesPerElementInt64) {
+  check_unbin_scatter<std::int64_t>();
+}
+
+/// The pairwise decode kernels decode_lincomb is built from: decode_axpby
+/// (also with an int8 partner row, as the mixed-type signature allows),
+/// decode_axpby_accumulate and decode_accumulate.  The accumulators start
+/// from adversarial doubles, NaN and inf included.  Each whole row must
+/// equal per-element calls and the written-out definition.
+template <typename BinT>
+void check_decode_axpby_family() {
+  std::mt19937_64 rng(6363);
+  std::uniform_real_distribution<double> weight(-2.0, 2.0);
+  for (index_t count : kCounts) {
+    const auto rows = random_bin_rows<BinT>(2, count, bin_bound<BinT>(), rng);
+    const auto narrow = random_bin_rows<std::int8_t>(1, count, 127, rng)[0];
+    const std::vector<BinT>& f1 = rows[0];
+    const std::vector<BinT>& f2 = rows[1];
+    const double s1 = weight(rng);
+    const double s2 = weight(rng);
+    const std::vector<double> start =
+        adversarial_doubles(count, 9100 + static_cast<std::uint64_t>(count),
+                            /*with_nan=*/true);
+
+    std::vector<double> axpby(static_cast<std::size_t>(count));
+    kernels::decode_axpby(f1.data(), s1, narrow.data(), s2, count,
+                          axpby.data());
+    std::vector<double> pair = start;
+    kernels::decode_axpby_accumulate(f1.data(), s1, f2.data(), s2, count,
+                                     pair.data());
+    std::vector<double> single = start;
+    kernels::decode_accumulate(f2.data(), s2, count, single.data());
+
+    for (index_t j = 0; j < count; ++j) {
+      const double a = s1 * static_cast<double>(f1[j]);
+      const double b = s2 * static_cast<double>(f2[j]);
+      double one = 0.0;
+      kernels::decode_axpby(&f1[j], s1, &narrow[j], s2, 1, &one);
+      ASSERT_TRUE(BitEqual(axpby[j], one))
+          << "axpby count " << count << " j " << j;
+      ASSERT_TRUE(BitEqual(one, a + s2 * static_cast<double>(narrow[j])))
+          << "axpby definition count " << count << " j " << j;
+
+      one = start[j];
+      kernels::decode_axpby_accumulate(&f1[j], s1, &f2[j], s2, 1, &one);
+      ASSERT_TRUE(BitEqual(pair[j], one))
+          << "axpby_accumulate count " << count << " j " << j;
+      ASSERT_TRUE(BitEqual(one, start[j] + (a + b)))
+          << "axpby_accumulate definition count " << count << " j " << j;
+
+      one = start[j];
+      kernels::decode_accumulate(&f2[j], s2, 1, &one);
+      ASSERT_TRUE(BitEqual(single[j], one))
+          << "accumulate count " << count << " j " << j;
+      ASSERT_TRUE(BitEqual(one, start[j] + b))
+          << "accumulate definition count " << count << " j " << j;
+    }
+  }
+}
+
+TEST(RebinKernels, DecodeAxpbyFamilyWholeRowMatchesPerElementInt8) {
+  check_decode_axpby_family<std::int8_t>();
+}
+TEST(RebinKernels, DecodeAxpbyFamilyWholeRowMatchesPerElementInt16) {
+  check_decode_axpby_family<std::int16_t>();
+}
+TEST(RebinKernels, DecodeAxpbyFamilyWholeRowMatchesPerElementInt32) {
+  check_decode_axpby_family<std::int32_t>();
+}
+TEST(RebinKernels, DecodeAxpbyFamilyWholeRowMatchesPerElementInt64) {
+  check_decode_axpby_family<std::int64_t>();
+}
+
+/// Values at the edges of the storage types: ties at float32, float16 and
+/// bfloat16 precision, the largest finite values and the first values past
+/// them, and the smallest denormals with the ties just below them.
+const double kFloatEdges[] = {
+    1.0 + 0x1p-24,        1.0 + 3 * 0x1p-24, 1.0 + 0x1p-11,
+    1.0 + 3 * 0x1p-11,    1.0 + 0x1p-8,      1.0 + 3 * 0x1p-8,
+    65504.0,              65520.0,           -65536.0,
+    0x1.fffffep+127,      0x1.ffffffp+127,   -1e39,
+    0x1p-149,             0x1p-150,          -0x1p-24,
+    0x1p-25,              0x1p-133,          -0.0};
+
+/// quantize_block: the whole row must equal per-element calls and
+/// quantize() itself, bit for bit, for adversarial rows seeded with
+/// kFloatEdges.
+void check_quantize_block(FloatType type) {
+  const std::size_t num_edges = std::size(kFloatEdges);
+  for (index_t count : kCounts) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      std::vector<double> x =
+          adversarial_doubles(count, 9300 + seed, /*with_nan=*/seed % 2 == 1);
+      for (index_t j = 0; j < count; j += 3)
+        x[j] =
+            kFloatEdges[(static_cast<std::size_t>(j) / 3 + seed) % num_edges];
+      std::vector<double> row = x;
+      kernels::quantize_block(row.data(), count, type);
+      for (index_t j = 0; j < count; ++j) {
+        double one = x[j];
+        kernels::quantize_block(&one, 1, type);
+        ASSERT_TRUE(BitEqual(row[j], one))
+            << name(type) << " count " << count << " j " << j;
+        ASSERT_TRUE(BitEqual(one, quantize(x[j], type)))
+            << name(type) << " definition count " << count << " j " << j;
+      }
+    }
+  }
+}
+
+TEST(RebinKernels, QuantizeBlockWholeRowMatchesPerElementBFloat16) {
+  check_quantize_block(FloatType::kBFloat16);
+}
+TEST(RebinKernels, QuantizeBlockWholeRowMatchesPerElementFloat16) {
+  check_quantize_block(FloatType::kFloat16);
+}
+TEST(RebinKernels, QuantizeBlockWholeRowMatchesPerElementFloat32) {
+  check_quantize_block(FloatType::kFloat32);
+}
+TEST(RebinKernels, QuantizeBlockWholeRowMatchesPerElementFloat64) {
+  check_quantize_block(FloatType::kFloat64);
+}
+
+/// rebin_block through one storage float type, for every bin type.  A 16-bit
+/// type can round N_k below max |c_j|, so coefficients then scale past the
+/// radius and must clamp; rows whose magnitudes exceed 1e4 are also rebinned
+/// tamed into (-1000, 1000) so that float16 stores a finite N_k.
+template <typename BinT>
+void check_rebin_block_through(FloatType type) {
+  const double radii[] = {1.0, 100.0, static_cast<double>(bin_bound<BinT>())};
+  for (index_t count : kCounts) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const std::vector<double> raw =
+          adversarial_doubles(count, 9700 + seed, /*with_nan=*/seed == 3);
+      std::vector<double> tamed = raw;
+      for (double& v : tamed)
+        if (std::isfinite(v) && std::fabs(v) > 1e4) v = std::fmod(v, 1e3);
+      const std::vector<double>* inputs[] = {&raw, &tamed};
+      for (const std::vector<double>* c : inputs) {
+        double folded = 0.0;
+        for (double v : *c) folded = std::max(folded, std::fabs(v));
+        for (double r : radii) {
+          std::vector<BinT> bins(static_cast<std::size_t>(count));
+          const double stored =
+              kernels::rebin_block(c->data(), count, r, type, bins.data());
+          ASSERT_TRUE(BitEqual(stored, quantize(folded, type)))
+              << name(type) << " count " << count << " r " << r;
+          const double inv = stored == 0.0 ? 0.0 : r / stored;
+          for (index_t j = 0; j < count; ++j) {
+            BinT one{};
+            if (stored != 0.0)
+              kernels::quantize_bins(&(*c)[j], &one, 1, inv, r);
+            ASSERT_EQ(bins[j], one) << name(type) << " count " << count
+                                    << " r " << r << " j " << j;
+            const double scaled = (*c)[j] * inv;
+            if (stored != 0.0 && !std::isnan(scaled)) {
+              ASSERT_EQ(static_cast<double>(one),
+                        std::clamp(std::round(scaled), -r, r))
+                  << name(type) << " definition count " << count << " r "
+                  << r << " j " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void check_rebin_block_through_all_bins(FloatType type) {
+  check_rebin_block_through<std::int8_t>(type);
+  check_rebin_block_through<std::int16_t>(type);
+  check_rebin_block_through<std::int32_t>(type);
+  check_rebin_block_through<std::int64_t>(type);
+}
+
+TEST(RebinKernels, RebinBlockWholeRowMatchesDefinitionBFloat16) {
+  check_rebin_block_through_all_bins(FloatType::kBFloat16);
+}
+TEST(RebinKernels, RebinBlockWholeRowMatchesDefinitionFloat16) {
+  check_rebin_block_through_all_bins(FloatType::kFloat16);
+}
+TEST(RebinKernels, RebinBlockWholeRowMatchesDefinitionFloat32) {
+  check_rebin_block_through_all_bins(FloatType::kFloat32);
+}
+TEST(RebinKernels, RebinBlockWholeRowMatchesDefinitionFloat64) {
+  check_rebin_block_through_all_bins(FloatType::kFloat64);
+}
+
+// ------------------------------------------ op results vs inline definitions
+//
+// ops::lincomb and ops::lincomb_batch run the vectorized decode and rebin
+// kernels on every block.  The oracle below restates the per-block decode
+// (in decode_lincomb's per-element association), the DC bias shift and the
+// terminal rebin as plain loops that call no kernels:: function, so a kernel
+// regression cannot cancel out of both sides.
+
+/// The expected (N_k, F_k) of Σ_i weights[i] * operands[i] + bias.
+CompressedArray lincomb_oracle(
+    const std::vector<const CompressedArray*>& operands,
+    const std::vector<double>& weights, double bias) {
+  const CompressedArray& first = *operands[0];
+  const std::size_t n = operands.size();
+  const index_t kept = first.kept_per_block();
+  const double r = static_cast<double>(first.radius());
+  const double bias_shift =
+      bias * std::sqrt(static_cast<double>(first.block_shape.volume()));
+  CompressedArray expected = first;
+  expected.indices = BinIndices(first.index_type, first.indices.size());
+  std::vector<double> scales(n);
+  std::vector<double> coeffs(static_cast<std::size_t>(kept));
+  for (index_t kb = 0; kb < first.num_blocks(); ++kb) {
+    const auto k = static_cast<std::size_t>(kb);
+    for (std::size_t i = 0; i < n; ++i)
+      scales[i] = weights[i] * operands[i]->biggest[k] / r;
+    for (index_t slot = 0; slot < kept; ++slot) {
+      const auto at = static_cast<std::size_t>(kb * kept + slot);
+      auto term = [&](std::size_t i) {
+        return scales[i] * static_cast<double>(operands[i]->indices.get(at));
+      };
+      // First pair, then pair sums accumulated, then the odd tail alone.
+      double c = n >= 2 ? term(0) + term(1) : term(0);
+      std::size_t i = n >= 2 ? 2 : 1;
+      for (; i + 1 < n; i += 2) c += term(i) + term(i + 1);
+      if (i < n) c += term(i);
+      coeffs[static_cast<std::size_t>(slot)] = c;
+    }
+    if (bias_shift != 0.0) coeffs[0] += bias_shift;
+    double biggest = 0.0;
+    for (double c : coeffs) biggest = std::max(biggest, std::fabs(c));
+    biggest = quantize(biggest, first.float_type);
+    expected.biggest[k] = biggest;
+    const double inv = biggest == 0.0 ? 0.0 : r / biggest;
+    for (index_t slot = 0; slot < kept; ++slot) {
+      const double scaled =
+          biggest == 0.0
+              ? 0.0
+              : std::clamp(std::round(coeffs[static_cast<std::size_t>(slot)] *
+                                      inv),
+                           -r, r);
+      expected.indices.set(static_cast<std::size_t>(kb * kept + slot),
+                           static_cast<std::int64_t>(scaled));
+    }
+  }
+  return expected;
+}
+
+/// Nine operands compressed with @p index_type: a ragged, pruned 2-D float32
+/// layout, and a 3-D bfloat16 layout whose rounded N_k makes the rebin clamp.
+std::vector<std::vector<CompressedArray>> oracle_operands(
+    IndexType index_type) {
+  const std::pair<Shape, CompressorSettings> layouts[] = {
+      {Shape{37, 45},
+       make_settings(Shape{8, 8}, FloatType::kFloat32, index_type,
+                     TransformKind::kDCT, TransformImpl::kAuto, 0.5)},
+      {Shape{9, 14, 11},
+       make_settings(Shape{4, 4, 4}, FloatType::kBFloat16, index_type,
+                     TransformKind::kHaar, TransformImpl::kAuto)}};
+  std::vector<std::vector<CompressedArray>> out;
+  Rng rng(509);
+  for (const auto& [shape, settings] : layouts) {
+    Compressor compressor(settings);
+    std::vector<CompressedArray> arrays;
+    for (int i = 0; i < 9; ++i)
+      arrays.push_back(compressor.compress(random_smooth(shape, rng, 5)));
+    out.push_back(std::move(arrays));
+  }
+  return out;
+}
+
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { parallel::set_num_threads(0); }
+};
+
+void expect_matches_oracle(const CompressedArray& got,
+                           const std::vector<const CompressedArray*>& operands,
+                           const std::vector<double>& weights, double bias,
+                           const std::string& label) {
+  const CompressedArray expected = lincomb_oracle(operands, weights, bias);
+  EXPECT_EQ(got.biggest, expected.biggest) << label;
+  EXPECT_TRUE(got.indices == expected.indices) << label;
+}
+
+/// Arities 1, 2, 3 with a bias (request_stream's shape), 4 with a repeated
+/// operand, and 9 (swe_rk4's height update), at 1 and 4 threads.
+void check_lincomb_oracle(IndexType index_type) {
+  ThreadCountGuard guard;
+  for (const auto& arrays : oracle_operands(index_type)) {
+    const auto* a = arrays.data();
+    const std::vector<std::pair<std::vector<const CompressedArray*>,
+                                std::vector<double>>>
+        cases = {{{&a[0]}, {0.75}},
+                 {{&a[0], &a[1]}, {1.0, -1.0}},
+                 {{&a[0], &a[1], &a[2]}, {1.0, -0.5, 0.25}},
+                 {{&a[0], &a[1], &a[0], &a[3]}, {0.5, 2.0, -1.25, 0.125}},
+                 {{&a[0], &a[1], &a[2], &a[3], &a[4], &a[5], &a[6], &a[7],
+                   &a[8]},
+                  {1.0, -0.1, 0.1, -0.2, 0.2, 1.0 / 6, -1.0 / 3, 0.05, -0.05}}};
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        const auto& [operands, weights] = cases[c];
+        const double bias = c == 2 ? 0.375 : 0.0;
+        const CompressedArray got = ops::lincomb(
+            std::span<const CompressedArray* const>(operands),
+            std::span<const double>(weights), bias);
+        expect_matches_oracle(got, operands, weights, bias,
+                              "case " + std::to_string(c) + " threads " +
+                                  std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(OpsOracle, LincombMatchesInlineDefinitionInt8) {
+  check_lincomb_oracle(IndexType::kInt8);
+}
+TEST(OpsOracle, LincombMatchesInlineDefinitionInt16) {
+  check_lincomb_oracle(IndexType::kInt16);
+}
+TEST(OpsOracle, LincombMatchesInlineDefinitionInt32) {
+  check_lincomb_oracle(IndexType::kInt32);
+}
+TEST(OpsOracle, LincombMatchesInlineDefinitionInt64) {
+  check_lincomb_oracle(IndexType::kInt64);
+}
+
+/// A K = 4 batch sharing 3 of its operands, so it runs the multi-output
+/// kernel: output k reads {a0, a1, a2, a(3 + k)}, output 1 repeats a0 for an
+/// odd arity and output 2 carries a bias.  Each output must equal the oracle
+/// of its own terms.
+void check_lincomb_batch_oracle(IndexType index_type) {
+  ThreadCountGuard guard;
+  for (const auto& arrays : oracle_operands(index_type)) {
+    std::vector<std::vector<const CompressedArray*>> operands;
+    std::vector<std::vector<double>> weights;
+    std::vector<double> biases;
+    for (std::size_t k = 0; k < 4; ++k) {
+      operands.push_back({&arrays[0], &arrays[1], &arrays[2], &arrays[3 + k]});
+      weights.push_back({1.0, -0.25 * static_cast<double>(k + 1), 0.5,
+                         0.125 * static_cast<double>(k + 1)});
+      if (k == 1) {
+        operands.back().push_back(&arrays[0]);
+        weights.back().push_back(-0.75);
+      }
+      biases.push_back(k == 2 ? -0.625 : 0.0);
+    }
+    std::vector<ops::LincombRequest> requests;
+    for (std::size_t k = 0; k < 4; ++k)
+      requests.push_back({std::span<const CompressedArray* const>(operands[k]),
+                          std::span<const double>(weights[k]), biases[k]});
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      const std::vector<CompressedArray> got = ops::lincomb_batch(requests);
+      ASSERT_EQ(got.size(), requests.size());
+      for (std::size_t k = 0; k < got.size(); ++k)
+        expect_matches_oracle(got[k], operands[k], weights[k], biases[k],
+                              "output " + std::to_string(k) + " threads " +
+                                  std::to_string(threads));
+    }
+  }
+}
+
+TEST(OpsOracle, LincombBatchMatchesInlineDefinitionInt8) {
+  check_lincomb_batch_oracle(IndexType::kInt8);
+}
+TEST(OpsOracle, LincombBatchMatchesInlineDefinitionInt16) {
+  check_lincomb_batch_oracle(IndexType::kInt16);
+}
+TEST(OpsOracle, LincombBatchMatchesInlineDefinitionInt32) {
+  check_lincomb_batch_oracle(IndexType::kInt32);
+}
+TEST(OpsOracle, LincombBatchMatchesInlineDefinitionInt64) {
+  check_lincomb_batch_oracle(IndexType::kInt64);
 }
 
 // ------------------------------------------ streaming add_scalar equivalence
